@@ -32,7 +32,7 @@ bool poller::poll_forced() {
 #if defined(WRPT_POLLER_HAS_EPOLL)
     return force_poll_flag.load(std::memory_order_relaxed);
 #else
-    return true;  // the platform (or -DWRPT_FORCE_POLL) decided already
+    return true;  // no epoll on this platform
 #endif
 }
 

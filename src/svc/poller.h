@@ -14,8 +14,7 @@
 // WRPT_FORCE_POLL environment variable at startup, or set_force_poll()
 // from code, makes subsequently constructed pollers use the portable
 // poll(2) backend — how CI exercises the fallback path on Linux without
-// a second platform. Building with -DWRPT_FORCE_POLL (a CMake option)
-// compiles the epoll backend out entirely.
+// a second platform.
 //
 // Registration is keyed by an opaque uint64 the caller chooses (the
 // reactor uses it to look up the connection record), and interest is a
@@ -30,9 +29,8 @@
 #include <cstdint>
 #include <vector>
 
-// The epoll backend exists only on Linux and only when it has not been
-// compiled out. WRPT_FORCE_POLL (a CMake option) wins over the platform.
-#if defined(__linux__) && !defined(WRPT_FORCE_POLL)
+// The epoll backend exists only on Linux.
+#if defined(__linux__)
 #define WRPT_POLLER_HAS_EPOLL 1
 #endif
 

@@ -1,19 +1,14 @@
 // Line-oriented JSON codec for the service API — the wire protocol of
-// `wrpt_cli serve`.
+// `wrpt_cli serve`: one UTF-8 JSON object per line, no external
+// dependencies (hand-rolled recursive-descent parser in wire.cpp).
 //
-// One request or response per line, UTF-8 JSON objects, no external
-// dependencies (hand-rolled recursive-descent parser in wire.cpp, in the
-// spirit of the .bench text utilities). The encoders are canonical: every
-// field of a kind is emitted, always in the same order, with doubles
-// printed in shortest round-trip form (std::to_chars) — so
-// encode(decode(encode(x))) == encode(x) byte for byte, and weight
-// vectors survive the trip losslessly.
-//
-// The decoder is tolerant of unknown fields (they are skipped, so newer
-// clients can talk to older servers) but strict about values: malformed
-// JSON, non-finite numbers (JSON cannot carry NaN/inf; overflowing
-// literals like 1e999 are rejected), and unknown request/response kinds
-// throw wire_error.
+// The encoder and decoder are derived from the field lists in
+// wire_schema.h. Encodings are canonical (fixed field order, doubles in
+// shortest round-trip form), so encode(decode(encode(x))) == encode(x)
+// byte for byte. The decoder skips unknown fields (newer clients can talk
+// to older servers) but throws wire_error on malformed JSON, unknown
+// kinds, a value of the wrong JSON type, an integer out of its member's
+// range, and non-finite numbers (1e999 included).
 
 #pragma once
 

@@ -387,6 +387,28 @@ TEST(wire, rejects_malformed_and_non_finite_input) {
     EXPECT_THROW(
         decode_request(R"({"req":"test_length","id":1,"weights":[1e999]})"),
         wire_error);
+    // Integers are range-checked against the member type, not wrapped
+    // (`threads` is unsigned: 2^32 + 1 must not decode as 1).
+    EXPECT_THROW(
+        decode_request(
+            R"({"req":"test_length","id":1,"threads":4294967297})"),
+        wire_error);
+    EXPECT_THROW(
+        decode_request(
+            R"({"req":"optimize","id":1,"options":{"threads":4294967298}})"),
+        wire_error);
+    // Every field is type-checked, the kind tag included.
+    EXPECT_THROW(decode_response(R"({"id":1,"ok":true,"resp":"stats",)"
+                                 R"("simd_isa":5})"),
+                 wire_error);
+    EXPECT_THROW(decode_request(R"({"req":5})"), wire_error);
+    try {  // ...as a type error, not as an unknown kind ""
+        (void)decode_request(R"({"req":5})");
+    } catch (const wire_error& e) {
+        EXPECT_NE(std::string(e.what()).find("must be a string"),
+                  std::string::npos)
+            << e.what();
+    }
     // Encoding a non-finite value is refused too.
     request q;
     test_length_request p;
@@ -605,8 +627,7 @@ TEST(service, different_options_or_kinds_do_not_alias_in_the_cache) {
 
     request sq;
     sq.payload = stats_request{};
-    const auto& st =
-        std::get<stats_response>(s.handle(sq).payload);
+    const auto st = std::get<stats_response>(s.handle(sq).payload);
     EXPECT_EQ(st.cache_hits, 0u);
     EXPECT_EQ(st.cache_misses, 3u);
     EXPECT_EQ(st.cache_entries, 3u);

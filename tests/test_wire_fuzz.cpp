@@ -6,25 +6,33 @@
 // must additionally be total: any byte salad yields *some* id without
 // throwing.
 //
-// Everything is driven by the repo's deterministic splitmix/xoshiro rng,
-// so a failure reproduces from the seed printed in the assertion message.
+// The generator walks the field lists in svc/wire_schema.h (no per-kind
+// code; optional fields take their off-the-wire spelling half the time)
+// with the repo's deterministic splitmix/xoshiro rng, so a failure
+// reproduces from the seed printed in the assertion message.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <ranges>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "svc/request.h"
 #include "svc/wire.h"
+#include "svc/wire_schema.h"
 #include "util/rng.h"
 
 namespace wrpt::svc {
 namespace {
 
-// --- random request generator ----------------------------------------------
+// --- random generators: one distribution per member type -------------------
 
 double finite_double(rng& r) {
     switch (r.next_below(6)) {
@@ -60,145 +68,59 @@ std::string random_text(rng& r) {
     return s;
 }
 
-weight_vector random_weights(rng& r) {
-    weight_vector w(r.next_below(12));
-    for (double& x : w) x = finite_double(r);
-    return w;
+template <class T>
+T random_value(rng& r, int depth = 0);
+
+template <class S, class M>
+void fill(rng& r, S& s, const schema::field<S, M>& f, int depth) {
+    if (f.policy != schema::emit::always && r.next_below(2) == 0) return;
+    M& m = s.*f.member = random_value<M>(r, depth);
+    if constexpr (requires { m.present; }) m.present = true;
 }
 
-optimize_options random_options(rng& r) {
-    optimize_options o;
-    o.confidence = finite_double(r);
-    o.alpha = finite_double(r);
-    o.max_sweeps = r.next_below(100);
-    o.weight_min = finite_double(r);
-    o.weight_max = finite_double(r);
-    o.grid = finite_double(r);
-    o.max_relevant_faults = static_cast<std::size_t>(r.next_word());
-    o.relevance_window = finite_double(r);
-    o.saddle_escape = r.next_below(2) == 0;
-    o.saddle_perturbation = finite_double(r);
-    o.trust_step = finite_double(r);
-    o.prepare_block = r.next_below(64);
-    o.threads = static_cast<unsigned>(r.next_below(16));
-    return o;
+template <class S, class... F>
+void fill(rng& r, S& s, const schema::list<F...>& g, int depth) {
+    std::apply([&](const F&... f) { (fill(r, s, f, depth), ...); }, g.entries);
 }
 
-/// A registry address for name-addressed jobs and catalog requests:
-/// sometimes empty (the field stays off the wire), sometimes a plain
-/// token, sometimes hostile text with separators and escapes.
-std::string random_name(rng& r) {
-    switch (r.next_below(4)) {
-        case 0: return "";
-        case 1: return "acme/alu";
-        case 2: return "t/" + std::to_string(r.next_below(1000));
-        default: return random_text(r);
+template <class T>
+T random_value(rng& r, int depth) {
+    T v{};
+    if constexpr (std::is_same_v<T, bool>) {
+        v = r.next_below(2) == 0;
+    } else if constexpr (std::is_integral_v<T>) {
+        // Small values and full-width ones (SIZE_MAX-style sentinels).
+        v = static_cast<T>(r.next_below(2) ? r.next_below(1000)
+                                           : r.next_word());
+    } else if constexpr (std::is_floating_point_v<T>) {
+        v = finite_double(r);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        v = random_text(r);
+    } else if constexpr (std::is_same_v<T, job_kind>) {
+        v = static_cast<job_kind>(
+            r.next_below(std::size(schema::job_kind_names)));
+    } else if constexpr (requires { v.payload; }) {
+        // A request or response around one uniformly drawn kind. Matrix
+        // results nest responses, so the recursion stops at depth 2.
+        if (depth > 2) return v;
+        v.id = r.next_word();
+        if constexpr (requires { v.ok; }) v.ok = r.next_below(2) == 0;
+        using V = decltype(v.payload);
+        const std::uint64_t k = r.next_below(std::variant_size_v<V>);
+        [&]<std::size_t... I>(std::index_sequence<I...>) {
+            ((k == I ? void(v.payload =
+                                random_value<std::variant_alternative_t<I, V>>(
+                                    r, depth + 1))
+                     : void()),
+             ...);
+        }(std::make_index_sequence<std::variant_size_v<V>>{});
+    } else if constexpr (std::ranges::range<T>) {
+        v.resize(r.next_below(12));
+        for (auto& e : v) e = random_value<typename T::value_type>(r, depth);
+    } else {
+        fill(r, v, schema::of<T>, depth);
     }
-}
-
-request random_request(rng& r, int depth = 0) {
-    request q;
-    q.id = r.next_word();
-    switch (r.next_below(depth == 0 ? 11 : 10)) {  // matrix only at top level
-        case 0: {
-            load_circuit_request p;
-            p.name = random_text(r);
-            p.bench = random_text(r);
-            p.path = random_text(r);
-            p.suite = random_text(r);
-            q.payload = std::move(p);
-            break;
-        }
-        case 1: {
-            test_length_request p;
-            p.circuit = static_cast<std::size_t>(r.next_word());
-            p.name = random_name(r);
-            p.weights = random_weights(r);
-            p.confidence = finite_double(r);
-            p.threads = static_cast<unsigned>(r.next_below(16));
-            q.payload = std::move(p);
-            break;
-        }
-        case 2: {
-            optimize_request p;
-            p.circuit = r.next_below(1000);
-            p.name = random_name(r);
-            p.weights = random_weights(r);
-            p.options = random_options(r);
-            q.payload = std::move(p);
-            break;
-        }
-        case 3: {
-            fault_sim_request p;
-            p.circuit = r.next_below(1000);
-            p.name = random_name(r);
-            p.weights = random_weights(r);
-            p.patterns = r.next_word();
-            p.seed = r.next_word();
-            q.payload = std::move(p);
-            break;
-        }
-        case 4: {
-            stats_request p;
-            q.payload = p;
-            break;
-        }
-        case 5: {
-            evict_request p;
-            p.all = r.next_below(2) == 0;
-            p.circuit = r.next_below(1000);
-            p.keep_engines = r.next_below(100);
-            q.payload = p;
-            break;
-        }
-        case 6: {
-            q.payload = shutdown_request{};
-            break;
-        }
-        case 7: {
-            register_circuit_request p;
-            p.tenant = random_text(r);
-            p.name = random_name(r);
-            p.bench = random_text(r);
-            p.path = random_text(r);
-            p.suite = random_text(r);
-            q.payload = std::move(p);
-            break;
-        }
-        case 8: {
-            reload_circuit_request p;
-            p.tenant = random_text(r);
-            p.name = random_name(r);
-            p.bench = random_text(r);
-            p.path = random_text(r);
-            p.suite = random_text(r);
-            q.payload = std::move(p);
-            break;
-        }
-        case 9: {
-            list_circuits_request p;
-            p.tenant = random_text(r);
-            q.payload = std::move(p);
-            break;
-        }
-        default: {
-            matrix_request p;
-            p.kind = static_cast<job_kind>(r.next_below(3));
-            const std::uint64_t nc = r.next_below(5);
-            for (std::uint64_t i = 0; i < nc; ++i)
-                p.circuits.push_back(r.next_below(1000));
-            const std::uint64_t nw = r.next_below(4);
-            for (std::uint64_t i = 0; i < nw; ++i)
-                p.weight_sets.push_back(random_weights(r));
-            p.options = random_options(r);
-            p.patterns = r.next_word();
-            p.seed = r.next_word();
-            p.confidence = finite_double(r);
-            q.payload = std::move(p);
-            break;
-        }
-    }
-    return q;
+    return v;
 }
 
 // --- properties -------------------------------------------------------------
@@ -206,7 +128,7 @@ request random_request(rng& r, int depth = 0) {
 TEST(wire_fuzz, random_valid_requests_round_trip_byte_identically) {
     rng r(0xf022ed1);
     for (int trial = 0; trial < 2000; ++trial) {
-        const request q = random_request(r);
+        const request q = random_value<request>(r);
         const std::string wire1 = encode(q);
         request back;
         ASSERT_NO_THROW(back = decode_request(wire1))
@@ -238,7 +160,7 @@ void expect_contained(const std::string& line, const char* what, int trial) {
 TEST(wire_fuzz, mutated_requests_decode_or_raise_wire_error) {
     rng r(0xbadc0de);
     for (int trial = 0; trial < 4000; ++trial) {
-        std::string line = encode(random_request(r));
+        std::string line = encode(random_value<request>(r));
         // 1-4 random byte edits: overwrite, insert, or delete.
         const std::uint64_t edits = 1 + r.next_below(4);
         for (std::uint64_t e = 0; e < edits && !line.empty(); ++e) {
@@ -258,7 +180,7 @@ TEST(wire_fuzz, mutated_requests_decode_or_raise_wire_error) {
 TEST(wire_fuzz, truncated_requests_decode_or_raise_wire_error) {
     rng r(0x7a61c);
     for (int trial = 0; trial < 2000; ++trial) {
-        const std::string full = encode(random_request(r));
+        const std::string full = encode(random_value<request>(r));
         const std::string line = full.substr(0, r.next_below(full.size() + 1));
         expect_contained(line, "truncated", trial);
     }
@@ -312,7 +234,7 @@ TEST(wire_fuzz, extract_id_recovers_ids_from_broken_lines) {
     // addressable, so the daemon's error envelope reaches the caller.
     rng r(0x1dc0ffee);
     for (int trial = 0; trial < 500; ++trial) {
-        request q = random_request(r);
+        request q = random_value<request>(r);
         q.id = 1 + r.next_below(1u << 30);  // nonzero, exactly recoverable
         std::string line = encode(q);
         // The canonical encoders place "id" first or second; keep the
@@ -339,109 +261,10 @@ TEST(wire_fuzz, responses_survive_mutation_too) {
     // decode_response shares the parser; exercise its kind dispatch with
     // mutated *response* lines (the client's hostile-server story).
     rng r(0x5e5510);
+    std::vector<bool> seen(std::variant_size_v<decltype(response::payload)>);
     for (int trial = 0; trial < 1000; ++trial) {
-        response resp;
-        resp.id = r.next_word();
-        resp.ok = r.next_below(2) == 0;
-        switch (r.next_below(6)) {
-            case 0:
-                resp.payload = error_response{random_text(r), random_text(r)};
-                break;
-            case 1: {
-                register_circuit_response p;
-                p.tenant = random_text(r);
-                p.name = random_name(r);
-                p.circuit = r.next_below(1000);
-                p.revision = r.next_word();
-                p.inputs = r.next_below(100);
-                p.outputs = r.next_below(100);
-                p.gates = r.next_below(10000);
-                resp.payload = std::move(p);
-                break;
-            }
-            case 2: {
-                reload_circuit_response p;
-                p.tenant = random_text(r);
-                p.name = random_name(r);
-                p.circuit = r.next_below(1000);
-                p.revision = r.next_word();
-                p.old_revision = r.next_word();
-                p.reloads = r.next_below(100);
-                resp.payload = std::move(p);
-                break;
-            }
-            case 3: {
-                list_circuits_response p;
-                const std::uint64_t rows = r.next_below(4);
-                for (std::uint64_t i = 0; i < rows; ++i) {
-                    catalog_entry_payload e;
-                    e.tenant = random_text(r);
-                    e.name = random_name(r);
-                    e.circuit = r.next_below(1000);
-                    e.revision = r.next_word();
-                    e.resident = r.next_below(2) == 0;
-                    e.reloads = r.next_below(100);
-                    p.entries.push_back(std::move(e));
-                }
-                resp.payload = std::move(p);
-                break;
-            }
-            case 4: {
-                test_length_response p;
-                p.circuit = r.next_below(100);
-                p.revision = r.next_word();
-                p.cached = r.next_below(2) == 0;
-                p.elapsed_ms = finite_double(r);
-                p.length.feasible = true;
-                p.length.test_length = finite_double(r);
-                resp.payload = p;
-                break;
-            }
-            default: {
-                stats_response p;
-                p.requests = r.next_word();
-                p.cache_hits = r.next_word();
-                pool_stats_payload ps;
-                ps.circuit = r.next_below(8);
-                ps.hits = static_cast<std::size_t>(r.next_word());
-                p.pools.push_back(ps);
-                // Half the trials carry the socket-server section, so
-                // both the present and the absent encodings round-trip.
-                if (r.next_below(2) == 0) {
-                    p.server.present = true;
-                    p.server.active = r.next_below(10000);
-                    p.server.workers = 1 + r.next_below(64);
-                    p.server.accepted = r.next_word();
-                    p.server.refused = r.next_word();
-                    p.server.queue_drops = r.next_word();
-                    p.server.accept_backoffs = r.next_word();
-                }
-                // Likewise for the registry section, with and without
-                // per-tenant quota rows.
-                if (r.next_below(2) == 0) {
-                    p.registry.present = true;
-                    p.registry.circuits = r.next_below(2000);
-                    p.registry.resident = r.next_below(64);
-                    p.registry.max_views = r.next_below(64);
-                    p.registry.view_evictions = r.next_word();
-                    p.registry.view_rebuilds = r.next_word();
-                    const std::uint64_t nt = r.next_below(3);
-                    for (std::uint64_t i = 0; i < nt; ++i) {
-                        tenant_stats_payload t;
-                        t.tenant = random_text(r);
-                        t.circuits = r.next_below(100);
-                        t.cache_bytes = r.next_below(1 << 20);
-                        t.max_circuits = r.next_below(100);
-                        t.max_engines = r.next_below(16);
-                        t.max_cache_bytes = r.next_below(1 << 20);
-                        t.rejections = r.next_word();
-                        p.registry.tenants.push_back(std::move(t));
-                    }
-                }
-                resp.payload = std::move(p);
-                break;
-            }
-        }
+        const response resp = random_value<response>(r);
+        seen[resp.payload.index()] = true;
         std::string line = encode(resp);
         ASSERT_EQ(encode(decode_response(line)), line) << "trial " << trial;
         const std::size_t pos = r.next_below(line.size());
@@ -454,6 +277,8 @@ TEST(wire_fuzz, responses_survive_mutation_too) {
                    << ": non-wire exception: " << e.what();
         }
     }
+    // The derived generator reaches every response kind.
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), false), 0);
 }
 
 }  // namespace
