@@ -33,13 +33,13 @@ namespace {
 using namespace wrpt;
 
 void bm_fault_sim(benchmark::State& state, const std::string& name,
-                  std::uint64_t patterns, bool order_faults = true) {
+                  std::uint64_t patterns, unsigned threads = 0) {
     const netlist nl = build_suite_circuit(name);
     const auto faults = generate_full_faults(nl);
     for (auto _ : state) {
         fault_sim_options fo;
         fo.max_patterns = patterns;
-        fo.order_faults = order_faults;
+        fo.threads = threads;
         auto res = run_weighted_fault_simulation(nl, faults,
                                                  uniform_weights(nl), 7, fo);
         benchmark::DoNotOptimize(res.detected_count);
@@ -48,9 +48,6 @@ void bm_fault_sim(benchmark::State& state, const std::string& name,
         static_cast<double>(patterns) * static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
     state.counters["faults"] = static_cast<double>(faults.size());
-    // The cache-locality knob under measurement: 1 = faults simulated in
-    // fault-site level order, 0 = caller list order.
-    state.counters["ordered"] = order_faults ? 1.0 : 0.0;
 }
 
 void bm_analysis(benchmark::State& state, const std::string& name) {
@@ -451,18 +448,13 @@ BENCHMARK_CAPTURE(bm_optimize_sweep_threaded, sharded_t8,
 
 BENCHMARK_CAPTURE(bm_fault_sim, S1_4k, std::string("S1"), 4096)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(bm_fault_sim, S1_4k_unordered, std::string("S1"), 4096,
-                  false)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_fault_sim, c6288_1k, std::string("c6288"), 1024)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(bm_fault_sim, c6288_1k_unordered, std::string("c6288"),
-                  1024, false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_fault_sim, c7552_1k, std::string("c7552"), 1024)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(bm_fault_sim, c7552_1k_unordered, std::string("c7552"),
-                  1024, false)
+// The Table 2/4 pattern count on S2 at the serve daemon's compute
+// settings (one thread, the default 4-word blocks).
+BENCHMARK_CAPTURE(bm_fault_sim, S2_12k, std::string("S2"), 12000, 1)
     ->Unit(benchmark::kMillisecond);
 
 // The sharded-ANALYSIS speedup curve for BENCH JSON: the full fault-list

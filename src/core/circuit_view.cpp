@@ -105,6 +105,14 @@ circuit_view circuit_view::compile(const netlist& nl,
         cv.input_index_[cv.inputs_[i]] = static_cast<std::uint32_t>(i);
     for (node_id o : cv.outputs_) cv.is_output_[o] = 1;
 
+    // Fanout-free-region stems by one backward sweep: a non-stem's unique
+    // consumer has a larger id, so its stem is already known.
+    cv.ffr_stem_.resize(n);
+    for (node_id id = static_cast<node_id>(n); id-- > 0;)
+        cv.ffr_stem_[id] = cv.fanout_count(id) != 1 || cv.is_output_[id]
+                               ? id
+                               : cv.ffr_stem_[cv.fanouts(id)[0]];
+
     if (options.input_cones) {
         // One forward mark-propagation pass per input: a node is in the
         // cone iff some fanin is, and ids are topological, so a single

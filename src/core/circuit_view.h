@@ -122,6 +122,16 @@ public:
         return i == no_index ? static_cast<std::size_t>(-1) : i;
     }
 
+    // --- fanout-free regions ----------------------------------------------
+
+    /// A stem is a node with fanout count != 1 or a primary output (a
+    /// node feeding one gate on two pins has fanout count 2). Every other
+    /// node has exactly one consumer and lies in the fanout-free region
+    /// of the stem its unique fanout path reaches. ffr_stem(n) is that
+    /// stem, or n itself when n is a stem. Always compiled.
+    node_id ffr_stem(node_id n) const { return ffr_stem_[n]; }
+    bool is_stem(node_id n) const { return ffr_stem_[n] == n; }
+
     // --- precomputed input cones -----------------------------------------
 
     bool has_input_cones() const { return !cone_offset_.empty(); }
@@ -193,6 +203,7 @@ private:
     std::vector<node_id> outputs_;
     std::vector<std::uint8_t> is_output_;
     std::vector<std::uint32_t> input_index_;    // per node, no_index if gate
+    std::vector<node_id> ffr_stem_;             // per node
 
     std::vector<std::uint32_t> cone_offset_;    // size input_count + 1
     std::vector<node_id> cone_pool_;

@@ -5,10 +5,9 @@
 #include <bit>
 #include <deque>
 #include <thread>
+#include <utility>
 
 #include "core/circuit_view.h"
-#include "exec/parallel_sort.h"
-#include "exec/thread_pool.h"
 #include "sim/logic_sim.h"
 #include "util/error.h"
 #include "util/sync.h"
@@ -25,6 +24,100 @@ std::size_t fault_sim_result::detected_within(std::uint64_t n) const {
 namespace {
 
 constexpr std::uint64_t never = ~0ULL;
+
+/// ceil(n / d) without the n + d - 1 wrap near 2^64 (a budget of
+/// UINT64_MAX patterns is legal and must not round down to 0 words).
+constexpr std::uint64_t ceil_div(std::uint64_t n, std::uint64_t d) {
+    return n / d + (n % d != 0);
+}
+
+/// Fault indices grouped by fanout-free-region stem (ascending stem id,
+/// list order within a stem): group g is order[bounds[g], bounds[g+1]).
+/// The blocked paths hand each group to block_simulator::detect_group.
+struct stem_groups {
+    std::vector<std::size_t> order;
+    std::vector<std::size_t> bounds;
+    std::size_t largest = 0;
+};
+
+stem_groups group_by_stem(const circuit_view& cv,
+                          const std::vector<fault>& faults) {
+    auto stem_of = [&](std::size_t fi) {
+        return cv.ffr_stem(faults[fi].where);
+    };
+    stem_groups g;
+    g.order.resize(faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i) g.order[i] = i;
+    std::stable_sort(g.order.begin(), g.order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return stem_of(a) < stem_of(b);
+                     });
+    for (std::size_t i = 0; i < g.order.size(); ++i)
+        if (i == 0 || stem_of(g.order[i]) != stem_of(g.order[i - 1]))
+            g.bounds.push_back(i);
+    g.bounds.push_back(g.order.size());
+    for (std::size_t k = 0; k + 1 < g.bounds.size(); ++k)
+        g.largest = std::max(g.largest, g.bounds[k + 1] - g.bounds[k]);
+    return g;
+}
+
+/// First detecting pattern among the `nw` words of one blocked pass
+/// whose first pattern is `base`, or `never`. Patterns at or past the
+/// budget do not count.
+std::uint64_t first_detection(const std::uint64_t* masks, unsigned nw,
+                              std::uint64_t base,
+                              std::uint64_t max_patterns) {
+    for (unsigned w = 0; w < nw; ++w) {
+        const std::uint64_t start = base + w * 64ULL;
+        const std::uint64_t size =
+            std::min<std::uint64_t>(64, max_patterns - start);
+        const std::uint64_t valid = size == 64 ? ~0ULL : ((1ULL << size) - 1);
+        const std::uint64_t m = masks[w] & valid;
+        if (m != 0)
+            return start + static_cast<std::uint64_t>(std::countr_zero(m));
+    }
+    return never;
+}
+
+/// Lower `first` to t by atomic minimum; true when this call took the
+/// fault from undetected to detected.
+bool claim_first(std::atomic<std::uint64_t>& first, std::uint64_t t) {
+    std::uint64_t cur = first.load(std::memory_order_relaxed);
+    while (t < cur)
+        if (first.compare_exchange_weak(cur, t, std::memory_order_relaxed))
+            return cur == never;
+    return false;
+}
+
+/// The parallel paths' result from the per-fault atomic minima. With
+/// dropping, the run stops after the 64-pattern block in which the last
+/// fault was first detected, as the sequential run does; otherwise the
+/// full budget is applied.
+fault_sim_result collect_parallel(
+    const std::vector<std::atomic<std::uint64_t>>& first,
+    const fault_sim_options& options) {
+    fault_sim_result res;
+    res.first_detected.assign(first.size(), std::nullopt);
+    std::uint64_t last = 0;
+    bool all_detected = true;
+    for (std::size_t fi = 0; fi < first.size(); ++fi) {
+        const std::uint64_t t = first[fi].load(std::memory_order_relaxed);
+        if (t == never) {
+            all_detected = false;
+            continue;
+        }
+        res.first_detected[fi] = t;
+        ++res.detected_count;
+        last = std::max(last, t);
+    }
+    res.patterns_applied = options.max_patterns;
+    if (options.drop_detected && all_detected && !first.empty()) {
+        const std::uint64_t block_start = last - last % 64;
+        if (options.max_patterns - block_start > 64)
+            res.patterns_applied = block_start + 64;
+    }
+    return res;
+}
 
 /// The shared pattern window of one parallel run: blocks are drawn from
 /// the (stateful, single-threaded) source lazily and in order under the
@@ -105,8 +198,7 @@ fault_sim_result run_parallel(const circuit_view& cv,
                               pattern_source& source,
                               const fault_sim_options& options,
                               unsigned threads) {
-    const std::uint64_t block_count =
-        (options.max_patterns + 63) / 64;
+    const std::uint64_t block_count = ceil_div(options.max_patterns, 64);
     const std::size_t input_count = cv.input_count();
 
     // Consumed blocks (moved out, hence empty) are popped from the
@@ -171,16 +263,7 @@ fault_sim_result run_parallel(const circuit_view& cv,
                 const std::uint64_t t =
                     block_start +
                     static_cast<std::uint64_t>(std::countr_zero(mask));
-                std::uint64_t cur = first[fi].load(std::memory_order_relaxed);
-                bool claimed = false;
-                while (t < cur) {
-                    if (first[fi].compare_exchange_weak(
-                            cur, t, std::memory_order_relaxed)) {
-                        claimed = cur == never;
-                        break;
-                    }
-                }
-                if (claimed)
+                if (claim_first(first[fi], t))
                     undetected.fetch_sub(1, std::memory_order_release);
             }
         }
@@ -207,37 +290,15 @@ fault_sim_result run_parallel(const circuit_view& cv,
         first_error = error.first;
     }
     if (first_error) std::rethrow_exception(first_error);
-
-    fault_sim_result res;
-    res.first_detected.assign(faults.size(), std::nullopt);
-    std::uint64_t last = 0;
-    bool all_detected = true;
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-        const std::uint64_t t = first[fi].load(std::memory_order_relaxed);
-        if (t == never) {
-            all_detected = false;
-            continue;
-        }
-        res.first_detected[fi] = t;
-        ++res.detected_count;
-        last = std::max(last, t);
-    }
-    // Mirror the sequential accounting: with dropping, the run stops after
-    // the block in which the live list drained; otherwise the full budget
-    // is applied.
-    if (options.drop_detected && all_detected && !faults.empty())
-        res.patterns_applied =
-            std::min<std::uint64_t>(options.max_patterns, (last / 64 + 1) * 64);
-    else
-        res.patterns_applied = options.max_patterns;
-    return res;
+    return collect_parallel(first, options);
 }
 
 /// Blocked sequential PPSFP: B 64-pattern words per pass through the
-/// live list. Detections are read out word by word in pattern order, and
-/// the budget advances word by word, stopping after the word in which
-/// the live list drained — so first_detected and patterns_applied are
-/// exactly the one-word run's (only the pattern-source draw-ahead
+/// live list, one block_simulator::detect_group call per stem group of
+/// live faults. Detections are read out word by word in pattern order,
+/// and the budget advances word by word, stopping after the word in
+/// which the live list drained — so first_detected and patterns_applied
+/// are exactly the one-word run's (only the pattern-source draw-ahead
 /// differs, by at most B-1 blocks).
 fault_sim_result run_sequential_blocked(const circuit_view& cv,
                                         const std::vector<fault>& faults,
@@ -248,19 +309,22 @@ fault_sim_result run_sequential_blocked(const circuit_view& cv,
     fault_sim_result res;
     res.first_detected.assign(faults.size(), std::nullopt);
 
-    std::vector<std::size_t> live(faults.size());
-    for (std::size_t i = 0; i < faults.size(); ++i) live[i] = i;
+    // Live faults in stem-group order. The in-place compaction below
+    // keeps that order, so each stem's live faults stay contiguous.
+    stem_groups groups = group_by_stem(cv, faults);
+    std::vector<std::size_t> live = std::move(groups.order);
+    std::vector<std::uint64_t> masks(groups.largest * B);
+    auto stem_of = [&](std::size_t fi) {
+        return cv.ffr_stem(faults[fi].where);
+    };
 
     const std::size_t input_count = cv.input_count();
     std::vector<std::uint64_t> input(input_count * B);
     std::vector<std::uint64_t> block;
-    std::vector<std::uint64_t> masks(B);
     std::uint64_t applied = 0;
     while (applied < options.max_patterns && !live.empty()) {
-        const std::uint64_t remaining_words =
-            (options.max_patterns - applied + 63) / 64;
-        const unsigned nw =
-            static_cast<unsigned>(std::min<std::uint64_t>(B, remaining_words));
+        const unsigned nw = static_cast<unsigned>(std::min<std::uint64_t>(
+            B, ceil_div(options.max_patterns - applied, 64)));
         for (unsigned w = 0; w < nw; ++w) {
             source.next_block(block);
             require(block.size() == input_count,
@@ -275,36 +339,31 @@ fault_sim_result run_sequential_blocked(const circuit_view& cv,
 
         std::size_t keep = 0;
         unsigned stop_word = 0;  // last word with a first detection
-        for (std::size_t idx = 0; idx < live.size(); ++idx) {
-            const std::size_t fi = live[idx];
-            sim.detect_masks(faults[fi], masks.data());
-            unsigned dw = nw;  // first detecting word, nw = none
-            std::uint64_t dmask = 0;
-            for (unsigned w = 0; w < nw; ++w) {
-                const std::uint64_t base = applied + w * 64ULL;
-                const std::uint64_t size = std::min<std::uint64_t>(
-                    64, options.max_patterns - base);
-                const std::uint64_t valid =
-                    size == 64 ? ~0ULL : ((1ULL << size) - 1);
-                const std::uint64_t m = masks[w] & valid;
-                if (m != 0) {
-                    dw = w;
-                    dmask = m;
-                    break;
+        for (std::size_t lo = 0; lo < live.size();) {
+            std::size_t hi = lo + 1;
+            while (hi < live.size() && stem_of(live[hi]) == stem_of(live[lo]))
+                ++hi;
+            sim.detect_group(faults, {live.data() + lo, hi - lo},
+                             masks.data());
+            // keep <= idx: compaction never overwrites an unread entry.
+            for (std::size_t idx = lo; idx < hi; ++idx) {
+                const std::size_t fi = live[idx];
+                const std::uint64_t t = first_detection(
+                    masks.data() + (idx - lo) * B, nw, applied,
+                    options.max_patterns);
+                if (t == never) {
+                    live[keep++] = fi;
+                    continue;
                 }
+                if (!res.first_detected[fi].has_value()) {
+                    res.first_detected[fi] = t;
+                    ++res.detected_count;
+                }
+                stop_word = std::max(
+                    stop_word, static_cast<unsigned>((t - applied) / 64));
+                if (!options.drop_detected) live[keep++] = fi;
             }
-            if (dw == nw) {
-                live[keep++] = fi;
-                continue;
-            }
-            if (!res.first_detected[fi].has_value()) {
-                res.first_detected[fi] =
-                    applied + dw * 64ULL +
-                    static_cast<std::uint64_t>(std::countr_zero(dmask));
-                ++res.detected_count;
-            }
-            stop_word = std::max(stop_word, dw);
-            if (!options.drop_detected) live[keep++] = fi;
+            lo = hi;
         }
         const bool drained = options.drop_detected && keep == 0;
         live.resize(keep);
@@ -320,17 +379,20 @@ fault_sim_result run_sequential_blocked(const circuit_view& cv,
 }
 
 /// Blocked block-parallel PPSFP: run_parallel with superblocks of B
-/// words per pull. First detections combine by atomic minimum exactly as
-/// in the one-word path, and the closing accounting formula is shared,
-/// so the result is identical to the sequential runs.
+/// words per pull, each worker running detect_group over the shared stem
+/// groups (minus the faults already detected in an earlier superblock).
+/// First detections combine by atomic minimum exactly as in the one-word
+/// path, and the closing accounting is shared, so the result is
+/// identical to the sequential runs.
 fault_sim_result run_parallel_blocked(const circuit_view& cv,
                                       const std::vector<fault>& faults,
                                       pattern_source& source,
                                       const fault_sim_options& options,
                                       unsigned threads, unsigned B) {
-    const std::uint64_t word_count = (options.max_patterns + 63) / 64;
-    const std::uint64_t super_count = (word_count + B - 1) / B;
+    const std::uint64_t word_count = ceil_div(options.max_patterns, 64);
+    const std::uint64_t super_count = ceil_div(word_count, B);
     const std::size_t input_count = cv.input_count();
+    const stem_groups groups = group_by_stem(cv, faults);
 
     block_queue window;
 
@@ -344,7 +406,9 @@ fault_sim_result run_parallel_blocked(const circuit_view& cv,
     auto worker_body = [&]() {
         block_simulator sim(cv, B);
         std::vector<std::uint64_t> input(input_count * B);
-        std::vector<std::uint64_t> masks(B);
+        std::vector<std::size_t> members;
+        members.reserve(groups.largest);
+        std::vector<std::uint64_t> masks(groups.largest * B);
         for (;;) {
             if (options.drop_detected &&
                 undetected.load(std::memory_order_acquire) == 0)
@@ -383,37 +447,28 @@ fault_sim_result run_parallel_blocked(const circuit_view& cv,
                     input[i * B + w] = 0;
             sim.simulate(input);
             const std::uint64_t super_start = wb0 * 64;
-            for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-                if (options.drop_detected &&
-                    first[fi].load(std::memory_order_relaxed) < super_start)
-                    continue;
-                sim.detect_masks(faults[fi], masks.data());
-                std::uint64_t t = never;
-                for (unsigned w = 0; w < nw; ++w) {
-                    const std::uint64_t base = super_start + w * 64ULL;
-                    const std::uint64_t size = std::min<std::uint64_t>(
-                        64, options.max_patterns - base);
-                    const std::uint64_t valid =
-                        size == 64 ? ~0ULL : ((1ULL << size) - 1);
-                    const std::uint64_t m = masks[w] & valid;
-                    if (m != 0) {
-                        t = base + static_cast<std::uint64_t>(
-                                       std::countr_zero(m));
-                        break;
-                    }
+            for (std::size_t g = 0; g + 1 < groups.bounds.size(); ++g) {
+                members.clear();
+                for (std::size_t idx = groups.bounds[g];
+                     idx < groups.bounds[g + 1]; ++idx) {
+                    const std::size_t fi = groups.order[idx];
+                    // Fault dropping across superblocks: a detection in
+                    // an earlier one can never be improved by this one.
+                    if (options.drop_detected &&
+                        first[fi].load(std::memory_order_relaxed) <
+                            super_start)
+                        continue;
+                    members.push_back(fi);
                 }
-                if (t == never) continue;
-                std::uint64_t cur = first[fi].load(std::memory_order_relaxed);
-                bool claimed = false;
-                while (t < cur) {
-                    if (first[fi].compare_exchange_weak(
-                            cur, t, std::memory_order_relaxed)) {
-                        claimed = cur == never;
-                        break;
-                    }
+                if (members.empty()) continue;
+                sim.detect_group(faults, members, masks.data());
+                for (std::size_t j = 0; j < members.size(); ++j) {
+                    const std::uint64_t t =
+                        first_detection(masks.data() + j * B, nw, super_start,
+                                        options.max_patterns);
+                    if (t != never && claim_first(first[members[j]], t))
+                        undetected.fetch_sub(1, std::memory_order_release);
                 }
-                if (claimed)
-                    undetected.fetch_sub(1, std::memory_order_release);
             }
         }
     };
@@ -438,27 +493,7 @@ fault_sim_result run_parallel_blocked(const circuit_view& cv,
         first_error = error.first;
     }
     if (first_error) std::rethrow_exception(first_error);
-
-    fault_sim_result res;
-    res.first_detected.assign(faults.size(), std::nullopt);
-    std::uint64_t last = 0;
-    bool all_detected = true;
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-        const std::uint64_t t = first[fi].load(std::memory_order_relaxed);
-        if (t == never) {
-            all_detected = false;
-            continue;
-        }
-        res.first_detected[fi] = t;
-        ++res.detected_count;
-        last = std::max(last, t);
-    }
-    if (options.drop_detected && all_detected && !faults.empty())
-        res.patterns_applied =
-            std::min<std::uint64_t>(options.max_patterns, (last / 64 + 1) * 64);
-    else
-        res.patterns_applied = options.max_patterns;
-    return res;
+    return collect_parallel(first, options);
 }
 
 }  // namespace
@@ -475,59 +510,18 @@ fault_sim_result run_fault_simulation(const circuit_view& cv,
     // scratch) than there are work pulls — 64-pattern blocks, or
     // B-word superblocks on the blocked paths.
     const unsigned B = std::clamp(options.block_words, 1u, 8u);
-    const std::uint64_t block_count = (options.max_patterns + 63) / 64;
-    const std::uint64_t pulls = (block_count + B - 1) / B;
+    const std::uint64_t pulls =
+        ceil_div(ceil_div(options.max_patterns, 64), B);
     threads = static_cast<unsigned>(std::min<std::uint64_t>(threads, pulls));
 
     // All four paths produce identical results; block_words == 1 is the
-    // scalar reference pair.
-    auto dispatch = [&](const std::vector<fault>& fl,
-                        const fault_sim_options& o) {
-        if (threads <= 1 || fl.empty())
-            return B <= 1 ? run_sequential(cv, fl, source, o)
-                          : run_sequential_blocked(cv, fl, source, o, B);
-        return B <= 1 ? run_parallel(cv, fl, source, o, threads)
-                      : run_parallel_blocked(cv, fl, source, o, threads, B);
-    };
-
-    // Cache-friendly fault ordering: simulate in fault-site level /
-    // topological-id order so consecutive detect-mask wavefronts launch
-    // from neighboring nodes and reuse warm scratch state. Per-fault
-    // results do not depend on list position, so the permutation is
-    // invisible to the caller — results come back in input order.
-    if (options.order_faults && faults.size() > 1) {
-        std::vector<std::size_t> order(faults.size());
-        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-        // Same deterministic sharded sort the SORT stage uses; the index
-        // tie-break keeps equal keys in list order (== stable sort) on
-        // one thread or many.
-        parallel_stable_sort_indices(
-            order,
-            [&](std::size_t a, std::size_t b) {
-                const fault& fa = faults[a];
-                const fault& fb = faults[b];
-                if (cv.level(fa.where) != cv.level(fb.where))
-                    return cv.level(fa.where) < cv.level(fb.where);
-                if (fa.where != fb.where) return fa.where < fb.where;
-                return fa.pin < fb.pin;
-            },
-            threads > 1 ? &shared_thread_pool() : nullptr, threads);
-        std::vector<fault> sorted;
-        sorted.reserve(faults.size());
-        for (std::size_t i : order) sorted.push_back(faults[i]);
-        fault_sim_options inner = options;
-        inner.order_faults = false;
-        fault_sim_result permuted = dispatch(sorted, inner);
-        fault_sim_result res;
-        res.patterns_applied = permuted.patterns_applied;
-        res.detected_count = permuted.detected_count;
-        res.first_detected.resize(faults.size());
-        for (std::size_t i = 0; i < order.size(); ++i)
-            res.first_detected[order[i]] = permuted.first_detected[i];
-        return res;
-    }
-
-    return dispatch(faults, options);
+    // per-fault scalar reference pair.
+    if (threads <= 1 || faults.empty())
+        return B <= 1 ? run_sequential(cv, faults, source, options)
+                      : run_sequential_blocked(cv, faults, source, options, B);
+    return B <= 1 ? run_parallel(cv, faults, source, options, threads)
+                  : run_parallel_blocked(cv, faults, source, options, threads,
+                                         B);
 }
 
 fault_sim_result run_fault_simulation(const netlist& nl,

@@ -27,23 +27,18 @@ struct fault_sim_options {
     /// `threads` blocks more than the sequential path before the
     /// all-detected early exit stops the workers.
     unsigned threads = 0;
-    /// Simulate faults in fault-site level / topological-id order instead
-    /// of list order, so consecutive detect-mask wavefronts start in the
-    /// same circuit region and reuse warm event-queue and value scratch.
-    /// Results are reported in the caller's fault order either way (a
-    /// fault's first detection does not depend on its neighbors), so this
-    /// is purely a cache locality knob — measured by the perf_kernels
-    /// fault-sim counters.
-    bool order_faults = true;
     /// Machine words per PPSFP pass (clamped to [1, 8]): each pass
-    /// simulates 64 * block_words patterns, amortizing the forward sweep
-    /// and per-fault wavefront traversals across the words. Per-word
-    /// propagation is independent, so first detections are bit-identical
-    /// to block_words = 1 (the scalar reference path), and the
-    /// word-sequential early-exit accounting is replayed exactly —
-    /// patterns_applied matches the one-word run. Like the parallel
-    /// path, a blocked run may draw up to block_words - 1 blocks more
-    /// from `source` than the one-word run before stopping.
+    /// simulates 64 * block_words patterns. block_words >= 2 selects the
+    /// fanout-free-region kernel (block_simulator::detect_group): live
+    /// faults are grouped by their region's stem, each fault's effect is
+    /// traced to the stem with bit operations, and one event-driven
+    /// wavefront per group and pass replaces one per fault. It is exact
+    /// per bit, so first detections are bit-identical to block_words = 1
+    /// (the per-fault scalar reference path), and the word-sequential
+    /// early-exit accounting is replayed exactly — patterns_applied
+    /// matches the one-word run. Like the parallel path, a blocked run
+    /// may draw up to block_words - 1 blocks more from `source` than the
+    /// one-word run before stopping.
     unsigned block_words = 4;
 };
 

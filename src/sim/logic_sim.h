@@ -71,17 +71,30 @@ private:
     std::vector<std::uint64_t> output_diff_;
 };
 
-/// Multi-word PPSFP simulator: B machine words (64*B patterns) per node
-/// per pass, amortizing every traversal — the forward sweep's gate
-/// decode, the wavefront's scheduling and scratch resets — across B
-/// words instead of one. Word w of a node is exactly what `simulator`
-/// would compute for pattern block w: the per-word propagation is
-/// independent (bitwise ops never mix words), and a node whose faulty
-/// word equals its good word contributes the good value downstream
-/// either way, so detect_masks() word w is bit-identical to
-/// simulator::detect_mask() run on block w alone. The blocked fault
-/// simulation paths rest on that equivalence; tests/test_simd.cpp
-/// asserts it per word.
+/// Multi-word PPSFP simulator with fanout-free-region (FFR) fault
+/// simulation: B machine words (64*B patterns) per node per pass, and one
+/// event-driven wavefront per group of faults that share a stem instead
+/// of one per fault.
+///
+/// A group's faults share the stem s = circuit_view::ffr_stem(f.where).
+/// detect_group() first computes each fault's local mask L_f at s with
+/// bit operations only: the activation word (good ^ forced for a stem
+/// fault; the gate re-evaluated with its pin forced, XOR its good value,
+/// for a branch fault), ANDed with the side-input sensitization of every
+/// gate on the unique path to s (AND/NAND side inputs at 1, OR/NOR side
+/// inputs at 0; BUF/NOT/XOR/XNOR always pass). It then runs the
+/// levelized wavefront once, from s flipped on U = the union of the L_f
+/// (for a primary-output s, obs_U(s) = U), and reports L_f & obs_U(s).
+///
+/// This is exact per word and per bit. A path's side inputs lie outside
+/// the fault's cone, so they keep their good values. Beyond s, the faulty
+/// machine is the good machine with s flipped on L_f, a subset of U, and
+/// bitwise ops never mix bits or words. So word w of every mask is
+/// bit-identical to simulator::detect_mask() run on block w alone. The
+/// blocked fault simulation paths rest on that equivalence;
+/// tests/test_simd.cpp asserts it for every fault and every word.
+///
+/// Scratch is O(nodes * B); the caller's group masks add O(group * B).
 class block_simulator {
 public:
     /// Share a compiled view; `words` is B, the block width (>= 1).
@@ -99,15 +112,23 @@ public:
         return good_[static_cast<std::size_t>(n) * words_ + w];
     }
 
-    /// Detection masks of `f` for every block: masks[w] is the 64-bit
-    /// mask of block-w patterns whose output response differs under `f`.
-    /// `masks` must hold words() entries. Requires a prior simulate().
-    void detect_masks(const fault& f, std::uint64_t* masks);
+    /// Detection masks of the faults faults[members[j]], which must all
+    /// have the same fanout-free-region stem (throws invalid_input
+    /// otherwise): masks[j * words() + w] is the 64-bit mask of block-w
+    /// patterns whose output response differs under that fault. `masks`
+    /// must hold members.size() * words() entries. Requires a prior
+    /// simulate().
+    void detect_group(std::span<const fault> faults,
+                      std::span<const std::size_t> members,
+                      std::uint64_t* masks);
 
 private:
     std::uint64_t* node_words(std::vector<std::uint64_t>& v, node_id n) {
         return v.data() + static_cast<std::size_t>(n) * words_;
     }
+    std::uint64_t local_mask(const fault& f, node_id stem,
+                             std::uint64_t* local);
+    void observe(node_id stem);
     void schedule(node_id n);
 
     const circuit_view* view_;
@@ -115,10 +136,14 @@ private:
     std::vector<std::uint64_t> good_;    // node-major, words_ per node
     std::vector<std::uint64_t> faulty_;  // same layout
     std::vector<std::uint64_t> vbuf_;    // one node's candidate words
-    std::vector<std::uint64_t> args_;    // gather buffer, arity x words_
+    std::vector<std::uint64_t> forced_;  // a branch fault's pin words
+    std::vector<std::uint64_t> flip_;    // U: the group's union at the stem
+    std::vector<std::uint64_t> obs_;     // obs_U(stem)
+    std::vector<const std::uint64_t*> srcs_;  // fanin word rows, max_arity
     std::vector<std::uint8_t> has_faulty_;
     std::vector<std::uint8_t> queued_;
     std::vector<std::vector<node_id>> buckets_;  // by level
+    std::size_t pending_ = 0;                    // queued, not yet evaluated
     std::vector<node_id> touched_;
 };
 

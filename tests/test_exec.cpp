@@ -372,27 +372,43 @@ TEST(batch_session, add_circuit_file_round_trip) {
 
 // --- fault ordering ------------------------------------------------------
 
-TEST(fault_ordering, ordered_and_unordered_runs_agree) {
+// A fault's first detection does not depend on where it sits in the list:
+// a seeded shuffle gives the same per-fault first_detected, detected_count
+// and patterns_applied on the reference and the stem-grouped paths.
+TEST(fault_ordering, shuffled_fault_list_gives_same_results) {
     const netlist nl = make_test_circuit(31, 12, 160);
     const auto faults = generate_full_faults(nl);
+    std::vector<std::size_t> perm(faults.size());
+    for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
+    rng r(0x5eed);
+    for (std::size_t i = perm.size(); i > 1; --i)
+        std::swap(perm[i - 1], perm[r.next_below(i)]);
+    std::vector<fault> shuffled;
+    for (std::size_t i : perm) shuffled.push_back(faults[i]);
+
     for (const bool drop : {true, false}) {
-        fault_sim_options a;
-        a.max_patterns = 700;
-        a.threads = 1;
-        a.drop_detected = drop;
-        a.order_faults = false;
-        fault_sim_options b = a;
-        b.order_faults = true;
-        const auto ra = run_weighted_fault_simulation(
-            nl, faults, uniform_weights(nl), 0xfeed, a);
-        const auto rb = run_weighted_fault_simulation(
-            nl, faults, uniform_weights(nl), 0xfeed, b);
-        EXPECT_EQ(ra.detected_count, rb.detected_count);
-        EXPECT_EQ(ra.patterns_applied, rb.patterns_applied);
-        ASSERT_EQ(ra.first_detected.size(), rb.first_detected.size());
-        for (std::size_t i = 0; i < ra.first_detected.size(); ++i)
-            EXPECT_EQ(ra.first_detected[i], rb.first_detected[i])
-                << to_string(nl, faults[i]) << " drop " << drop;
+        for (const unsigned block : {1u, 4u}) {
+            for (const unsigned threads : {1u, 2u}) {
+                fault_sim_options o;
+                o.max_patterns = 700;
+                o.threads = threads;
+                o.block_words = block;
+                o.drop_detected = drop;
+                const auto ra = run_weighted_fault_simulation(
+                    nl, faults, uniform_weights(nl), 0xfeed, o);
+                const auto rb = run_weighted_fault_simulation(
+                    nl, shuffled, uniform_weights(nl), 0xfeed, o);
+                SCOPED_TRACE(::testing::Message()
+                             << "drop " << drop << " B" << block << " t"
+                             << threads);
+                EXPECT_EQ(ra.detected_count, rb.detected_count);
+                EXPECT_EQ(ra.patterns_applied, rb.patterns_applied);
+                ASSERT_EQ(ra.first_detected.size(), rb.first_detected.size());
+                for (std::size_t i = 0; i < perm.size(); ++i)
+                    EXPECT_EQ(ra.first_detected[perm[i]], rb.first_detected[i])
+                        << to_string(nl, shuffled[i]);
+            }
+        }
     }
 }
 

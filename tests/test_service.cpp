@@ -907,6 +907,33 @@ TEST(service, bad_requests_become_error_envelopes_not_exceptions) {
     EXPECT_TRUE(s.handle(sq).ok);
 }
 
+// The largest pattern budget the wire can carry is answered: the fault
+// simulator stops once every fault is detected instead of pinning a
+// compute thread.
+TEST(service, uint64_max_pattern_budget_is_answered) {
+    service s;
+    request load;
+    load_circuit_request lp;
+    lp.name = "svc_max_budget";
+    lp.bench = write_bench_string(make_cascaded_comparator(1, lp.name));
+    load.payload = lp;
+    const response loaded = s.handle(load);
+    ASSERT_TRUE(loaded.ok);
+    const std::size_t c = std::get<load_circuit_response>(loaded.payload).circuit;
+
+    const request q = decode_request(
+        R"({"req":"fault_sim","id":3,"circuit":)" + std::to_string(c) +
+        R"(,"patterns":18446744073709551615})");
+    ASSERT_EQ(std::get<fault_sim_request>(q.payload).patterns,
+              std::numeric_limits<std::uint64_t>::max());
+    const response r = s.handle(q);
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.id, 3u);
+    const auto& out = std::get<fault_sim_response>(r.payload);
+    EXPECT_EQ(out.detected, out.faults);
+    EXPECT_LE(out.patterns, 1024u);
+}
+
 TEST(service, cache_entry_cap_evicts_oldest_entries_first) {
     service::options so;
     so.max_cache_entries = 2;

@@ -4,6 +4,7 @@
 #include "sim/logic_sim.h"
 
 #include <bit>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -173,6 +174,36 @@ TEST(fault_sim, respects_non_multiple_of_64_budget) {
     for (const auto& fd : res.first_detected) {
         if (fd.has_value()) {
             EXPECT_LT(*fd, 100u);
+        }
+    }
+}
+
+// A budget of UINT64_MAX patterns is legal (ceil(n / 64) must not wrap
+// to 0 words): on a fully random-testable circuit every path stops once
+// the live list drains, with the one-word reference's result.
+TEST(fault_sim, uint64_max_budget_stops_when_every_fault_is_detected) {
+    const netlist nl = make_cascaded_comparator(1);
+    const auto faults = generate_full_faults(nl);
+    fault_sim_options ref;
+    ref.max_patterns = std::numeric_limits<std::uint64_t>::max();
+    ref.threads = 1;
+    ref.block_words = 1;
+    const auto want = run_weighted_fault_simulation(
+        nl, faults, uniform_weights(nl), 0x5eed, ref);
+    ASSERT_EQ(want.detected_count, faults.size());
+    EXPECT_LE(want.patterns_applied, 1024u);
+    for (const unsigned block : {1u, 4u, 8u}) {
+        for (const unsigned threads : {1u, 2u}) {
+            fault_sim_options o = ref;
+            o.block_words = block;
+            o.threads = threads;
+            const auto got = run_weighted_fault_simulation(
+                nl, faults, uniform_weights(nl), 0x5eed, o);
+            SCOPED_TRACE(::testing::Message() << "B" << block << " t"
+                                              << threads);
+            EXPECT_EQ(want.patterns_applied, got.patterns_applied);
+            EXPECT_EQ(want.detected_count, got.detected_count);
+            EXPECT_EQ(want.first_detected, got.first_detected);
         }
     }
 }

@@ -204,79 +204,229 @@ TEST(SimdExpNegScale, NormalizeMatchesAcrossThreads) {
 
 // --- blocked PPSFP -----------------------------------------------------------
 
-// block_simulator word w == simulator on block w, for values and for
-// per-fault detection masks.
-TEST(SimdBlockSim, WordsMatchSingleWordSimulator) {
-    const netlist nl = build_suite_circuit("S1");
-    const circuit_view cv = circuit_view::compile(nl);
-    const std::vector<fault> faults = generate_full_faults(nl);
+/// Every line of `nl` as a fault site, stuck-at 0 and 1: the output of
+/// every node (dead ones included) and every fanin pin of every gate,
+/// whether or not its driver fans out.
+std::vector<fault> every_line_fault(const netlist& nl) {
+    std::vector<fault> out;
+    for (node_id n = 0; n < nl.node_count(); ++n) {
+        for (const stuck_at v : {stuck_at::zero, stuck_at::one}) {
+            out.push_back({n, -1, v});
+            for (std::size_t k = 0; k < nl.fanin_count(n); ++k)
+                out.push_back({n, static_cast<std::int32_t>(k), v});
+        }
+    }
+    return out;
+}
 
-    constexpr unsigned kWords = 4;
-    rng r(0x5151);
-    std::vector<std::uint64_t> blocks(nl.input_count() * kWords);
+/// block_simulator word w == simulator on block w: the good value of
+/// every node, and for every fault and every word the detection mask of
+/// detect_group over the fault alone, over the fault's whole stem group,
+/// and over every other member of that group (the blocked fault
+/// simulator hands over the live subset of a group).
+void expect_block_words_match(const netlist& nl,
+                              const std::vector<fault>& faults,
+                              std::uint64_t seed, unsigned words) {
+    const circuit_view cv = circuit_view::compile(nl);
+    rng r(seed);
+    std::vector<std::uint64_t> blocks(nl.input_count() * words);
     for (auto& w : blocks) w = r.next_word();
 
-    block_simulator bsim(cv, kWords);
+    block_simulator bsim(cv, words);
     bsim.simulate(blocks);
+
+    // Stem groups in fault-list order.
+    std::vector<std::vector<std::size_t>> groups;
+    {
+        std::vector<std::size_t> group_of(cv.node_count(), SIZE_MAX);
+        for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+            const node_id stem = cv.ffr_stem(faults[fi].where);
+            if (group_of[stem] == SIZE_MAX) {
+                group_of[stem] = groups.size();
+                groups.emplace_back();
+            }
+            groups[group_of[stem]].push_back(fi);
+        }
+    }
+    // grouped[fi * words + w] / subset[...]: the group kernel's masks;
+    // in_subset[fi] says whether the subset call covered fault fi.
+    std::vector<std::uint64_t> grouped(faults.size() * words);
+    std::vector<std::uint64_t> subset(faults.size() * words);
+    std::vector<std::uint8_t> in_subset(faults.size(), 0);
+    std::vector<std::uint64_t> scratch;
+    for (const auto& members : groups) {
+        scratch.assign(members.size() * words, 0);
+        bsim.detect_group(faults, members, scratch.data());
+        for (std::size_t j = 0; j < members.size(); ++j)
+            std::copy_n(scratch.data() + j * words, words,
+                        grouped.data() + members[j] * words);
+        std::vector<std::size_t> half;
+        for (std::size_t j = 0; j < members.size(); j += 2)
+            half.push_back(members[j]);
+        scratch.assign(half.size() * words, 0);
+        bsim.detect_group(faults, half, scratch.data());
+        for (std::size_t j = 0; j < half.size(); ++j) {
+            std::copy_n(scratch.data() + j * words, words,
+                        subset.data() + half[j] * words);
+            in_subset[half[j]] = 1;
+        }
+    }
 
     simulator ssim(cv);
     std::vector<std::uint64_t> one(nl.input_count());
-    std::vector<std::uint64_t> masks(kWords);
-    for (unsigned w = 0; w < kWords; ++w) {
+    std::vector<std::uint64_t> masks(words);
+    for (unsigned w = 0; w < words; ++w) {
         for (std::size_t i = 0; i < one.size(); ++i)
-            one[i] = blocks[i * kWords + w];
+            one[i] = blocks[i * words + w];
         ssim.simulate(one);
         for (node_id o : nl.outputs())
             ASSERT_EQ(ssim.value(o), bsim.value(o, w)) << "word " << w;
-        for (std::size_t fi = 0; fi < faults.size(); fi += 7) {
-            bsim.detect_masks(faults[fi], masks.data());
-            ASSERT_EQ(ssim.detect_mask(faults[fi]), masks[w])
+        for (node_id n = 0; n < nl.node_count(); ++n)
+            ASSERT_EQ(ssim.value(n), bsim.value(n, w))
+                << "node " << n << " word " << w;
+        for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+            const std::uint64_t want = ssim.detect_mask(faults[fi]);
+            const std::size_t only = fi;
+            bsim.detect_group(faults, {&only, 1}, masks.data());
+            ASSERT_EQ(want, masks[w])
                 << "fault " << fi << " word " << w;
+            ASSERT_EQ(want, grouped[fi * words + w])
+                << "group kernel: fault " << fi << " word " << w;
+            if (in_subset[fi]) {
+                ASSERT_EQ(want, subset[fi * words + w])
+                    << "group subset: fault " << fi << " word " << w;
+            }
         }
+    }
+}
+
+TEST(SimdBlockSim, WordsMatchSingleWordSimulator) {
+    const netlist nl = build_suite_circuit("S1");
+    const std::vector<fault> faults = generate_full_faults(nl);
+
+    constexpr unsigned kWords = 4;
+    expect_block_words_match(nl, faults, 0x5151, kWords);
+}
+
+// The same oracle over the deep and XOR-heavy suite circuits, block
+// widths 1, 3 and 8, and seeded random netlists with every line as a
+// fault site.
+TEST(SimdBlockSim, FfrKernelMatchesOnSuiteAndRandomCircuits) {
+    for (const char* name : {"S2", "c432", "c499", "c6288"}) {
+        SCOPED_TRACE(name);
+        const netlist nl = build_suite_circuit(name);
+        expect_block_words_match(nl, generate_full_faults(nl), 0x5151, 4);
+    }
+    for (const unsigned words : {1u, 3u, 8u}) {
+        SCOPED_TRACE(words);
+        const netlist nl = build_suite_circuit("S1");
+        expect_block_words_match(nl, generate_full_faults(nl), 0x77, words);
+    }
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(seed);
+        random_circuit_spec spec;
+        spec.inputs = 6 + seed;
+        spec.gates = 60 + 30 * seed;
+        spec.seed = seed;
+        spec.allow_xor = seed % 2 == 0;
+        const netlist nl = make_random_circuit(spec);
+        expect_block_words_match(nl, every_line_fault(nl), seed, 4);
+    }
+}
+
+// Hand-built corner cases for the stem map and the path walk: one driver
+// on two pins of one gate (fanout count 2, so a stem), a primary output
+// that also fans out, a fanout-1 primary output, BUF/NOT chains, const
+// gates, and a dead node.
+TEST(SimdBlockSim, FfrKernelMatchesOnCornerCases) {
+    netlist nl("ffr_corners");
+    const node_id a = nl.add_input("a");
+    const node_id b = nl.add_input("b");
+    const node_id c = nl.add_input("c");
+    const node_id d = nl.add_input("d");
+    const node_id dup = nl.add_binary(gate_kind::and_, a, a, "dup");
+    const node_id po = nl.add_binary(gate_kind::or_, dup, b, "po");
+    nl.mark_output(po, "po");
+    const node_id g2 = nl.add_binary(gate_kind::nand_, po, c, "g2");
+    const node_id b1 = nl.add_unary(gate_kind::buf, g2, "b1");
+    const node_id n1 = nl.add_unary(gate_kind::not_, b1, "n1");
+    const node_id b2 = nl.add_unary(gate_kind::buf, n1, "b2");
+    const node_id k0 = nl.add_const(false, "k0");
+    const node_id k1 = nl.add_const(true, "k1");
+    const node_id g3 = nl.add_binary(gate_kind::xor_, po, k1, "g3");
+    const node_id g4 = nl.add_binary(gate_kind::nor_, b2, k0, "g4");
+    const node_id o2 = nl.add_unary(gate_kind::not_, d, "o2");
+    nl.mark_output(o2, "o2");
+    const node_id g6 = nl.add_binary(gate_kind::and_, o2, c, "g6");
+    const node_id g5 = nl.add_gate(gate_kind::xnor_, {g3, g4, g6}, "g5");
+    nl.mark_output(g5, "g5");
+    const node_id dead = nl.add_binary(gate_kind::and_, c, d, "dead");
+
+    const circuit_view cv = circuit_view::compile(nl);
+    EXPECT_TRUE(cv.is_stem(a));       // two pins of one gate
+    EXPECT_EQ(cv.ffr_stem(dup), po);  // fanout-1 node below an output
+    EXPECT_TRUE(cv.is_stem(po));      // primary output with fanout 2
+    EXPECT_TRUE(cv.is_stem(o2));      // fanout-1 primary output
+    EXPECT_EQ(cv.ffr_stem(b1), g5);   // BUF/NOT chain into the XNOR
+    EXPECT_EQ(cv.ffr_stem(k0), g5);
+    EXPECT_TRUE(cv.is_stem(dead));    // fanout 0
+    EXPECT_TRUE(cv.is_stem(g5));
+
+    for (const unsigned words : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(words);
+        expect_block_words_match(nl, every_line_fault(nl), 0xc0de + words,
+                                 words);
     }
 }
 
 // The full fault-simulation result — first_detected per fault AND
 // patterns_applied — is invariant across block widths and thread counts,
 // including budgets that are not multiples of the block size.
-TEST(SimdFaultSim, BlockedAndParallelBitIdentical) {
-    for (const char* name : {"S1", "c432"}) {
-        const netlist nl = build_suite_circuit(name);
-        const std::vector<fault> faults = generate_full_faults(nl);
-        const weight_vector w = uniform_weights(nl);
+void expect_fault_sim_paths_agree(const char* name, std::uint64_t budget,
+                                  bool drop) {
+    const netlist nl = build_suite_circuit(name);
+    const std::vector<fault> faults = generate_full_faults(nl);
+    const weight_vector w = uniform_weights(nl);
 
-        for (std::uint64_t budget : {320u, 832u}) {
-            fault_sim_options ref;
-            ref.max_patterns = budget;
-            ref.threads = 1;
-            ref.block_words = 1;
-            const fault_sim_result want =
-                run_weighted_fault_simulation(nl, faults, w, 0xfeed, ref);
+    fault_sim_options ref;
+    ref.max_patterns = budget;
+    ref.threads = 1;
+    ref.block_words = 1;
+    ref.drop_detected = drop;
+    const fault_sim_result want =
+        run_weighted_fault_simulation(nl, faults, w, 0xfeed, ref);
 
-            for (unsigned block : {1u, 4u, 8u}) {
-                for (unsigned threads : {1u, 2u, 8u}) {
-                    fault_sim_options o = ref;
-                    o.block_words = block;
-                    o.threads = threads;
-                    const fault_sim_result got =
-                        run_weighted_fault_simulation(nl, faults, w, 0xfeed,
-                                                      o);
-                    SCOPED_TRACE(std::string(name) + " B" +
-                                 std::to_string(block) + " t" +
-                                 std::to_string(threads));
-                    EXPECT_EQ(want.patterns_applied, got.patterns_applied);
-                    EXPECT_EQ(want.detected_count, got.detected_count);
-                    ASSERT_EQ(want.first_detected.size(),
-                              got.first_detected.size());
-                    for (std::size_t i = 0; i < want.first_detected.size();
-                         ++i)
-                        ASSERT_EQ(want.first_detected[i],
-                                  got.first_detected[i])
-                            << "fault " << i;
-                }
-            }
+    for (unsigned block : {1u, 4u, 8u}) {
+        for (unsigned threads : {1u, 2u, 8u}) {
+            fault_sim_options o = ref;
+            o.block_words = block;
+            o.threads = threads;
+            const fault_sim_result got =
+                run_weighted_fault_simulation(nl, faults, w, 0xfeed, o);
+            SCOPED_TRACE(std::string(name) + " budget " +
+                         std::to_string(budget) + " drop " +
+                         std::to_string(drop) + " B" + std::to_string(block) +
+                         " t" + std::to_string(threads));
+            EXPECT_EQ(want.patterns_applied, got.patterns_applied);
+            EXPECT_EQ(want.detected_count, got.detected_count);
+            ASSERT_EQ(want.first_detected.size(), got.first_detected.size());
+            for (std::size_t i = 0; i < want.first_detected.size(); ++i)
+                ASSERT_EQ(want.first_detected[i], got.first_detected[i])
+                    << "fault " << i;
         }
     }
+}
+
+TEST(SimdFaultSim, BlockedAndParallelBitIdentical) {
+    for (const bool drop : {true, false})
+        for (const char* name : {"S1", "c432"})
+            for (std::uint64_t budget : {320u, 832u})
+                expect_fault_sim_paths_agree(name, budget, drop);
+    // S2 with dropping only: without it, the per-fault one-word runs
+    // keep all 21k faults live through S2's deep divider array on every
+    // block, about 30 CPU-seconds per call, and the TSan leg runs this
+    // suite too.
+    expect_fault_sim_paths_agree("S2", 832, true);
 }
 
 // --- deterministic parallel sort ---------------------------------------------
