@@ -2,7 +2,6 @@
 
 #include "exec/engine_pool.h"
 #include "exec/thread_pool.h"
-#include "io/bench_io.h"
 #include "prob/detect.h"
 #include "sim/fault_sim.h"
 #include "util/error.h"
@@ -17,68 +16,87 @@ batch_session::batch_session(options opt)
 
 batch_session::~batch_session() = default;
 
-batch_session::compiled_circuit batch_session::compile(netlist nl) const {
-    compiled_circuit cc;
-    cc.nl = std::make_unique<netlist>(std::move(nl));
+void batch_session::compile(entry& e) const {
     circuit_view::compile_options co;
     co.input_cones = true;
     co.driven_pins = true;
     co.lane_groups = true;
-    cc.view = std::make_unique<circuit_view>(
-        circuit_view::compile(*cc.nl, co));
-    cc.faults = generate_full_faults(*cc.nl);
-    cc.pool = std::make_unique<engine_pool>(*cc.view);
-    cc.pool->set_capacity(options_.max_engines);
-    return cc;
+    auto view = std::make_unique<circuit_view>(circuit_view::compile(*e.nl, co));
+    std::vector<fault> faults = generate_full_faults(*e.nl);
+    auto pool = std::make_unique<engine_pool>(*view);
+    pool->set_capacity(options_.max_engines);
+    e.view = std::move(view);
+    e.faults = std::move(faults);
+    e.pool = std::move(pool);
 }
 
-std::size_t batch_session::add_circuit(netlist nl) {
+std::size_t batch_session::add_circuit(netlist nl, bool resident) {
+    entry e;
+    e.nl = std::make_unique<netlist>(std::move(nl));
+    if (resident) compile(e);
     const std::size_t handle = next_handle_++;
-    circuits_.try_emplace(handle, compile(std::move(nl)));
+    circuits_.try_emplace(handle, std::move(e));
     return handle;
 }
 
-std::size_t batch_session::add_circuit_file(const std::string& path) {
-    return add_circuit(read_bench_file(path));
+bool batch_session::make_resident(std::size_t handle) {
+    entry& e = at(handle);
+    if (e.view != nullptr) return false;
+    compile(e);
+    return true;
 }
 
-std::uint64_t batch_session::replace_circuit(std::size_t handle, netlist nl) {
-    compiled_circuit* cc = circuits_.find(handle);
-    require(cc != nullptr, "batch_session: bad circuit handle");
-    // Compile the replacement before touching the slot so a failed parse
-    // or compile leaves the old circuit fully serviceable.
-    *cc = compile(std::move(nl));
-    return cc->nl->revision();
+void batch_session::unload(std::size_t handle) {
+    entry& e = at(handle);
+    e.pool.reset();
+    e.view.reset();
+    e.faults = std::vector<fault>();  // `= {}` would keep the capacity
 }
 
-void batch_session::unload_circuit(std::size_t handle) {
-    require(circuits_.erase(handle),
-            "batch_session: bad circuit handle");
+void batch_session::reload(std::size_t handle, netlist nl) {
+    entry& e = at(handle);
+    entry fresh;
+    fresh.nl = std::make_unique<netlist>(std::move(nl));
+    if (e.view != nullptr) compile(fresh);
+    unload(handle);  // the pool points into the view: free it first
+    e = std::move(fresh);
 }
 
-std::uint64_t batch_session::restore_circuit(std::size_t handle, netlist nl) {
-    require(handle < next_handle_ && !circuits_.contains(handle),
-            "batch_session: restore_circuit needs a retired handle");
-    circuits_.try_emplace(handle, compile(std::move(nl)));
-    return circuits_.find(handle)->nl->revision();
+std::size_t batch_session::circuit_count() const {
+    std::size_t n = 0;
+    circuits_.for_each([&](std::size_t, const entry& e) {
+        if (e.view != nullptr) ++n;
+    });
+    return n;
 }
 
 std::vector<std::size_t> batch_session::handles() const {
     std::vector<std::size_t> out;
     out.reserve(circuits_.size());
-    circuits_.for_each([&](std::size_t handle, const compiled_circuit&) {
+    circuits_.for_each([&](std::size_t handle, const entry&) {
         out.push_back(handle);  // ascending-handle iteration order
     });
     return out;
 }
 
-const batch_session::compiled_circuit& batch_session::at(
-    std::size_t handle) const {
+const batch_session::entry& batch_session::at(std::size_t handle) const {
     // Const (count-free) lookup: run_one() calls this concurrently from
     // every pool worker.
-    const compiled_circuit* cc = circuits_.find(handle);
-    require(cc != nullptr, "batch_session: bad circuit handle");
-    return *cc;
+    const entry* e = circuits_.find(handle);
+    require(e != nullptr, "batch_session: bad circuit handle");
+    return *e;
+}
+
+batch_session::entry& batch_session::at(std::size_t handle) {
+    entry* e = circuits_.find(handle);
+    require(e != nullptr, "batch_session: bad circuit handle");
+    return *e;
+}
+
+const batch_session::entry& batch_session::resident(std::size_t handle) const {
+    const entry& e = at(handle);
+    require(e.view != nullptr, "batch_session: circuit is not resident");
+    return e;
 }
 
 const netlist& batch_session::circuit(std::size_t handle) const {
@@ -86,27 +104,25 @@ const netlist& batch_session::circuit(std::size_t handle) const {
 }
 
 const circuit_view& batch_session::view(std::size_t handle) const {
-    return *at(handle).view;
+    return *resident(handle).view;
 }
 
 const std::vector<fault>& batch_session::faults(std::size_t handle) const {
-    return at(handle).faults;
+    return resident(handle).faults;
 }
 
 const engine_pool& batch_session::pool(std::size_t handle) const {
-    return *at(handle).pool;
+    return *resident(handle).pool;
 }
 
 engine_pool& batch_session::pool(std::size_t handle) {
-    compiled_circuit* cc = circuits_.find(handle);
-    require(cc != nullptr, "batch_session: bad circuit handle");
-    return *cc->pool;
+    return *resident(handle).pool;
 }
 
 batch_session::result batch_session::run_one(const svc::job_request& j) const {
     const std::size_t handle = std::visit(
         [](const auto& p) { return p.circuit; }, j);
-    const compiled_circuit& cc = at(handle);
+    const entry& cc = resident(handle);
     const netlist& nl = *cc.nl;
 
     result r;
@@ -180,13 +196,8 @@ std::vector<batch_session::result> batch_session::run(
 
 std::vector<svc::job_request> batch_session::expand_matrix(
     const svc::matrix_request& m) const {
-    std::vector<std::size_t> targets = m.circuits;
-    if (targets.empty()) {
-        targets.reserve(circuit_count());
-        circuits_.for_each([&](std::size_t handle, const compiled_circuit&) {
-            targets.push_back(handle);  // ascending-handle iteration order
-        });
-    }
+    const std::vector<std::size_t> targets =
+        m.circuits.empty() ? handles() : m.circuits;
     std::vector<svc::job_request> requests;
     requests.reserve(targets.size() * m.weight_sets.size());
     for (std::size_t c : targets) {

@@ -3,8 +3,7 @@
 // A deployment tests many circuit variants under many candidate weight
 // vectors at once: N circuits x M weight vectors per request, millions of
 // requests over the same compiled structures. batch_session is that
-// surface: register circuits once (each is compiled to a circuit_view
-// with input cones exactly once), then submit batches of jobs — OPTIMIZE
+// surface: add circuits once, then submit batches of jobs — OPTIMIZE
 // runs, required-test-length queries, weighted fault simulations — that
 // execute concurrently on the work-stealing pool. Every job gets private
 // estimator/simulator state over the shared immutable view, so the only
@@ -13,17 +12,23 @@
 // the circuit's revision stamp, and are bit-identical to running the same
 // jobs sequentially.
 //
-// Cross-request reuse: each circuit keeps one warm engine_pool for the
-// session's lifetime. Engines built by one run() call go back warm and
-// serve the next call after an incremental re-sync, so a long-lived
-// session never pays the full-analysis build twice for the same
-// concurrency level — asserted via pool(h).stats().hits in the tests.
+// One table holds every circuit: a handle's entry owns the netlist (whose
+// own revision stamps every result) and, while resident, the view with
+// input cones, the full fault list and the warm engine pool compiled over
+// it. make_resident / unload / reload move an entry through that
+// lifecycle under the same handle; svc/registry names entries and runs
+// the view LRU on top.
+//
+// Cross-request reuse: a resident circuit keeps one warm engine_pool.
+// Engines built by one run() call go back warm and serve the next call
+// after an incremental re-sync, so a long-lived session never pays the
+// full-analysis build twice for the same concurrency level — asserted via
+// pool(h).stats().hits in the tests.
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/circuit_view.h"
@@ -60,43 +65,43 @@ public:
     batch_session(const batch_session&) = delete;
     batch_session& operator=(const batch_session&) = delete;
 
-    /// Register a circuit; the session owns it, compiles its view (with
-    /// the engine structures) once, and generates its collapsed-free full
-    /// fault list once. Returns the circuit handle used in jobs.
-    std::size_t add_circuit(netlist nl);
-    /// Read a .bench file and register it.
-    std::size_t add_circuit_file(const std::string& path);
+    /// Add a circuit entry. The session owns the netlist (the entry's
+    /// only copy, at a stable address) and keeps its revision; with
+    /// `resident` the entry's view, full fault list and warm engine pool
+    /// are compiled at once, otherwise on the first make_resident.
+    /// Returns the handle used in jobs; handles are never reissued.
+    std::size_t add_circuit(netlist nl, bool resident = true);
 
-    /// Issue a handle with nothing compiled under it yet (the registry's
-    /// lazy-residency path); restore_circuit compiles it on first use.
-    std::size_t reserve_handle() { return next_handle_++; }
-    /// True while `handle` maps to a compiled circuit; reserved or retired
-    /// handles report false (and are never reissued).
-    bool has_circuit(std::size_t handle) const {
+    /// The three lifecycle verbs. Each reshapes the circuit table, so the
+    /// caller must hold it exclusive against run() and every reader.
+    /// make_resident compiles `handle`'s view, faults and pool over its
+    /// netlist and returns true, or returns false if already resident.
+    bool make_resident(std::size_t handle);
+    /// Drop `handle`'s compiled state; the netlist, its revision and the
+    /// handle stay, so make_resident rebuilds it unchanged.
+    void unload(std::size_t handle);
+    /// Hot reload: swap `handle`'s netlist for `nl` (a new revision, so
+    /// results cached under the old one are orphaned) and recompile it if
+    /// resident. The replacement compiles before the old state is freed,
+    /// so a failure leaves the entry serviceable.
+    void reload(std::size_t handle, netlist nl);
+
+    /// True while `handle` names an entry, resident or not.
+    bool has_entry(std::size_t handle) const {
         return circuits_.contains(handle);
     }
-    /// Hot reload: recompile `handle` in place from a fresh netlist. The
-    /// replacement keeps its own (new) revision stamp, so results cached
-    /// under the old revision are orphaned wholesale. Callers must hold
-    /// the swap exclusive against run(): jobs still executing on the old
-    /// view would otherwise lose it mid-flight. Returns the new revision.
-    std::uint64_t replace_circuit(std::size_t handle, netlist nl);
-    /// Drop `handle`'s compiled state (view, faults, warm engines) while
-    /// keeping the handle retired-but-stable: other circuits keep their
-    /// handles, and restore_circuit can recompile under the same one.
-    void unload_circuit(std::size_t handle);
-    /// Recompile a previously unloaded handle from `nl`. Passing a copy of
-    /// the original netlist preserves its revision stamp (netlist copies
-    /// share revisions), so cache entries keyed by it revalidate after the
-    /// rebuild. Returns the compiled revision.
-    std::uint64_t restore_circuit(std::size_t handle, netlist nl);
-
-    std::size_t circuit_count() const { return circuits_.size(); }
-    /// Ascending handles of every compiled circuit (reserved and retired
-    /// handles excluded) — the iteration surface for stats and eviction
-    /// sweeps, which can no longer assume handles are 0..count-1.
+    /// True while `handle` names a resident (compiled) entry.
+    bool has_circuit(std::size_t handle) const {
+        const entry* e = circuits_.find(handle);
+        return e != nullptr && e->view != nullptr;
+    }
+    /// Resident entries.
+    std::size_t circuit_count() const;
+    /// Ascending handles of every entry, resident or not.
     std::vector<std::size_t> handles() const;
+    /// The entry's netlist, resident or not.
     const netlist& circuit(std::size_t handle) const;
+    /// The compiled state below needs a resident entry.
     const circuit_view& view(std::size_t handle) const;
     const std::vector<fault>& faults(std::size_t handle) const;
     /// The circuit's warm engine pool (shared by every job working it;
@@ -133,15 +138,16 @@ public:
 
     /// Expand a matrix request into its job list (circuit-major order:
     /// jobs[c * weight_sets.size() + w]; an empty circuit list means
-    /// every registered circuit) — the single definition of the N x M
+    /// every entry, resident or not) — the single definition of the N x M
     /// request shape. svc::service::handle(matrix_request) runs it with
     /// caching on top.
     std::vector<svc::job_request> expand_matrix(
         const svc::matrix_request& m) const;
 
 private:
-    struct compiled_circuit {
-        std::unique_ptr<netlist> nl;   // stable address for views/results
+    struct entry {
+        std::unique_ptr<netlist> nl;  // stable address: the view points in
+        // Compiled over *nl while resident, null otherwise.
         std::unique_ptr<circuit_view> view;
         std::vector<fault> faults;
         // Warm engines over `view`, kept across run() calls; every job's
@@ -150,16 +156,18 @@ private:
     };
 
     result run_one(const svc::job_request& j) const;
-    const compiled_circuit& at(std::size_t handle) const;
-    compiled_circuit compile(netlist nl) const;
+    const entry& at(std::size_t handle) const;
+    entry& at(std::size_t handle);
+    /// at(), but the entry must be resident.
+    const entry& resident(std::size_t handle) const;
+    /// Compile `e`'s view, faults and pool over its netlist.
+    void compile(entry& e) const;
 
     options options_;
-    // Handle -> compiled circuit. Handles come from a monotonic counter,
-    // so every probe lands in the map's direct-index array region; const
-    // lookups are count-free, which keeps concurrent run_one() jobs
-    // race-free. Keyed (rather than a plain vector) so the upcoming
-    // registry can retire handles without invalidating the rest.
-    util::dense_map<compiled_circuit, std::size_t> circuits_;
+    // Handle -> entry. Handles come from a monotonic counter, so every
+    // probe lands in the map's direct-index array region; const lookups
+    // are count-free, which keeps concurrent run_one() jobs race-free.
+    util::dense_map<entry, std::size_t> circuits_;
     std::size_t next_handle_ = 0;
     std::unique_ptr<thread_pool> pool_;
 };

@@ -4,19 +4,9 @@
 
 #include "opt/normalize.h"
 #include "opt/objective.h"
-#include "opt/pipeline.h"
 #include "exec/thread_pool.h"
 
 namespace wrpt {
-
-optimize_result optimize_weights(const netlist& nl,
-                                 const std::vector<fault>& faults,
-                                 detect_estimator& analysis,
-                                 const weight_vector& start,
-                                 const optimize_options& options) {
-    optimize_pipeline pipeline(nl, faults, analysis, start, options);
-    return pipeline.run();
-}
 
 test_length_report required_test_length(const netlist& nl,
                                         const std::vector<fault>& faults,

@@ -24,10 +24,11 @@
 // the result is bit-identical for every thread count. The trust region
 // and best-iterate tracking keep the simultaneous update stable.
 //
-// The loop itself lives in opt/pipeline.h as explicit stage objects over
-// a shared optimize_context — ANALYSIS and NORMALIZE shard across the
-// exec/thread_pool (see optimize_options::threads), PREPARE batches onto
-// pool engines, and every stage result is thread-count invariant.
+// Each stage is a plain function on a shared optimize_context
+// (opt/pipeline.h), and optimize_weights is the loop over them — ANALYSIS
+// and NORMALIZE shard across the exec/thread_pool (see
+// optimize_options::threads), PREPARE batches onto pool engines, and every
+// stage result is thread-count invariant.
 
 #pragma once
 
@@ -112,9 +113,8 @@ struct optimize_result {
 /// redundancies (the paper assumes every fault of F is detectable); faults
 /// the estimator scores 0 are excluded from NORMALIZE and reported.
 ///
-/// This is a thin wrapper over the staged pipeline in opt/pipeline.h
-/// (stage objects for ANALYSIS, SORT, NORMALIZE, PREPARE, MINIMIZE and
-/// SADDLE_ESCAPE over a shared optimize_context).
+/// Defined in opt/pipeline.cpp: the paper's loop over the stage functions
+/// ANALYSIS, SORT, NORMALIZE, PREPARE, MINIMIZE and SADDLE_ESCAPE.
 optimize_result optimize_weights(const netlist& nl,
                                  const std::vector<fault>& faults,
                                  detect_estimator& analysis,

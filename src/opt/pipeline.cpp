@@ -51,23 +51,23 @@ void select_hard(optimize_context& cx) {
 
 }  // namespace
 
-void analysis_stage::run(optimize_context& cx) {
+void run_analysis(optimize_context& cx) {
     cx.probs = cx.analysis.estimate_faults(
         cx.nl, {cx.faults.data(), cx.faults.size()}, cx.res.weights,
         cx.exec.threads);
     ++cx.res.analysis_calls;
 }
 
-void sort_stage::run(optimize_context& cx) {
+void run_sort(optimize_context& cx) {
     cx.order = sort_faults(cx.probs, cx.exec);
     cx.res.zero_prob_faults = cx.faults.size() - cx.order.size();
 }
 
-void normalize_stage::run(optimize_context& cx) {
+void run_normalize(optimize_context& cx) {
     cx.norm = normalize_for(cx, cx.probs, cx.order);
 }
 
-void prepare_stage::run(optimize_context& cx) {
+void run_prepare(optimize_context& cx) {
     // p_f at the two ends of the admissible interval for every coordinate
     // of the block, issued as one probe batch of 2 * block width at the
     // current vector. (For an exact estimator p_f is affine in x_i —
@@ -90,7 +90,7 @@ void prepare_stage::run(optimize_context& cx) {
     cx.res.analysis_calls += cx.block_probes.size();
 }
 
-void minimize_stage::run(optimize_context& cx) {
+void run_minimize(optimize_context& cx) {
     // Fit every coordinate's affine model at the common block base and
     // assign x_i := y, steps capped by the trust region. Coordinates
     // within a block move simultaneously (Jacobi); blocks see each
@@ -127,7 +127,7 @@ void minimize_stage::run(optimize_context& cx) {
     cx.res.weights = std::move(stepped_weights);
 }
 
-void saddle_escape_stage::run(optimize_context& cx) {
+void run_saddle_escape(optimize_context& cx) {
     // Converged or stalled. Coordinate descent stalls on symmetric
     // circuits: with the partner input at 0.5 an equality term is flat in
     // each single weight (a comparator at uniform weights, the E==F
@@ -205,15 +205,13 @@ void saddle_escape_stage::run(optimize_context& cx) {
     }
 }
 
-optimize_pipeline::optimize_pipeline(const netlist& nl,
-                                     const std::vector<fault>& faults,
-                                     detect_estimator& analysis,
-                                     const weight_vector& start,
-                                     const optimize_options& options)
-    : cx_(nl, faults, analysis, options,
-          confidence_to_q(options.confidence)),
-      stages_{&analysis_, &sort_, &normalize_, &prepare_, &minimize_,
-              &saddle_} {
+optimize_result optimize_weights(const netlist& nl,
+                                 const std::vector<fault>& faults,
+                                 detect_estimator& analysis,
+                                 const weight_vector& start,
+                                 const optimize_options& options) {
+    optimize_context cx(nl, faults, analysis, options,
+                        confidence_to_q(options.confidence));
     require(start.size() == nl.input_count(),
             "optimize_weights: starting vector size mismatch");
     require(options.weight_min > 0.0 && options.weight_max < 1.0 &&
@@ -225,70 +223,65 @@ optimize_pipeline::optimize_pipeline(const netlist& nl,
         options.threads == 0
             ? std::max(1u, std::thread::hardware_concurrency())
             : options.threads;
-    cx_.exec.threads = threads;
-    cx_.exec.pool = threads > 1 ? &shared_thread_pool() : nullptr;
-
-    cx_.res.weights = start;
-    for (double& w : cx_.res.weights)
+    cx.exec.threads = threads;
+    cx.exec.pool = threads > 1 ? &shared_thread_pool() : nullptr;
+    cx.res.weights = start;
+    for (double& w : cx.res.weights)
         w = std::clamp(w, options.weight_min, options.weight_max);
-}
 
-void optimize_pipeline::run_analysis_block() {
-    analysis_.run(cx_);
-    sort_.run(cx_);
-    normalize_.run(cx_);
-}
+    const auto analyze = [&cx] {  // ANALYSIS -> SORT -> NORMALIZE
+        run_analysis(cx);
+        run_sort(cx);
+        run_normalize(cx);
+    };
+    analyze();
+    cx.res.feasible = cx.norm.feasible;
+    cx.res.initial_test_length = cx.norm.test_length;
+    cx.res.final_test_length = cx.norm.test_length;
+    if (!cx.norm.feasible || cx.order.empty()) return std::move(cx.res);
 
-optimize_result optimize_pipeline::run() {
-    // ANALYSIS + SORT + NORMALIZE at the starting vector.
-    run_analysis_block();
-    cx_.res.feasible = cx_.norm.feasible;
-    cx_.res.initial_test_length = cx_.norm.test_length;
-    cx_.res.final_test_length = cx_.norm.test_length;
-    if (!cx_.norm.feasible || cx_.order.empty()) return std::move(cx_.res);
-
-    cx_.n_old = std::numeric_limits<double>::infinity();
-    cx_.n_new = cx_.norm.test_length;
-    cx_.best_weights = cx_.res.weights;
-    cx_.best_n = cx_.n_new;
+    cx.n_old = std::numeric_limits<double>::infinity();
+    cx.n_new = cx.norm.test_length;
+    cx.best_weights = cx.res.weights;
+    cx.best_n = cx.n_new;
 
     std::size_t sweeps = 0;
-    while (sweeps < cx_.options.max_sweeps) {
-        if (cx_.n_old - cx_.n_new <= cx_.options.alpha) {
-            saddle_.run(cx_);
-            if (cx_.stop) break;
+    while (sweeps < options.max_sweeps) {
+        if (cx.n_old - cx.n_new <= options.alpha) {
+            run_saddle_escape(cx);
+            if (cx.stop) break;
         }
-        cx_.n_old = cx_.n_new;
+        cx.n_old = cx.n_new;
         ++sweeps;
 
-        select_hard(cx_);
+        select_hard(cx);
 
         // PREPARE + MINIMIZE over fixed coordinate blocks (block-Jacobi /
-        // Gauss-Seidel hybrid; see prepare_stage).
+        // Gauss-Seidel hybrid; see run_prepare).
         const std::size_t block =
-            std::max<std::size_t>(1, cx_.options.prepare_block);
-        for (std::size_t b0 = 0; b0 < cx_.nl.input_count(); b0 += block) {
-            cx_.block_begin = b0;
-            cx_.block_end = std::min(b0 + block, cx_.nl.input_count());
-            prepare_.run(cx_);
-            minimize_.run(cx_);
+            std::max<std::size_t>(1, options.prepare_block);
+        for (std::size_t b0 = 0; b0 < nl.input_count(); b0 += block) {
+            cx.block_begin = b0;
+            cx.block_end = std::min(b0 + block, nl.input_count());
+            run_prepare(cx);
+            run_minimize(cx);
         }
 
         // Re-ANALYSIS; the order of detection probabilities may have
         // changed (the paper's "caution"), so re-SORT and re-NORMALIZE.
-        run_analysis_block();
-        if (!cx_.norm.feasible || cx_.order.empty()) break;
-        cx_.n_new = cx_.norm.test_length;
-        cx_.res.history.push_back({cx_.n_new, cx_.norm.relevant_faults});
-        if (cx_.n_new < cx_.best_n) {
-            cx_.best_n = cx_.n_new;
-            cx_.best_weights = cx_.res.weights;
+        analyze();
+        if (!cx.norm.feasible || cx.order.empty()) break;
+        cx.n_new = cx.norm.test_length;
+        cx.res.history.push_back({cx.n_new, cx.norm.relevant_faults});
+        if (cx.n_new < cx.best_n) {
+            cx.best_n = cx.n_new;
+            cx.best_weights = cx.res.weights;
         }
     }
-    cx_.res.weights = cx_.best_weights;
-    cx_.res.final_test_length = cx_.best_n;
-    cx_.res.feasible = true;
-    return std::move(cx_.res);
+    cx.res.weights = cx.best_weights;
+    cx.res.final_test_length = cx.best_n;
+    cx.res.feasible = true;
+    return std::move(cx.res);
 }
 
 }  // namespace wrpt

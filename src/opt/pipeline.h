@@ -1,5 +1,5 @@
-// The staged OPTIMIZE pipeline — the paper's loop as explicit stage
-// objects over a shared context.
+// The staged OPTIMIZE pipeline — the paper's loop as plain stage
+// functions over a shared context.
 //
 // The paper prints OPTIMIZE as a fixed stage sequence:
 //
@@ -8,27 +8,26 @@
 //                     ANALYSIS -> SORT -> NORMALIZE
 //   stalled?          SADDLE_ESCAPE, then continue
 //
-// optimize_weights used to be one monolith; here every stage is an
-// object that declares what it reads and writes on the shared
-// optimize_context and can therefore be parallelized independently:
+// Every stage is a function on optimize_context, and optimize_weights
+// (defined in pipeline.cpp, declared in optimizer.h) is the loop over
+// them. Three stages shard their work and stay bit-identical for every
+// thread count:
 //
 //   ANALYSIS    shards the fault list across pool engines
-//               (detect_estimator::estimate_faults), bit-identical for
-//               every thread count,
+//               (detect_estimator::estimate_faults),
 //   NORMALIZE   shards the objective-term evaluation (normalize_exec)
-//               with an element-ordered reduction, equally bit-identical,
-//   PREPARE     issues its probe batches to per-engine workers (the
-//               PR-2 estimate_probes path),
-//   SORT / MINIMIZE / SADDLE_ESCAPE stay sequential (cheap or
-//               inherently serial), but run behind the same interface.
+//               with an element-ordered reduction,
+//   PREPARE     issues its probe batches to per-engine workers
+//               (detect_estimator::estimate_probes).
 //
-// The driver (optimize_pipeline) owns the context and the stage
-// sequence; optimize_weights in optimizer.h is now a thin wrapper.
+// SORT, MINIMIZE and SADDLE_ESCAPE stay sequential (cheap or inherently
+// serial).
 
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <span>
+#include <string_view>
 #include <vector>
 
 #include "fault/fault.h"
@@ -41,9 +40,7 @@
 
 namespace wrpt {
 
-/// Everything the stages share. Stages communicate exclusively through
-/// this struct; the reads()/writes() declarations below name these
-/// fields.
+/// Everything the stages share; stages communicate only through it.
 struct optimize_context {
     optimize_context(const netlist& nl_, const std::vector<fault>& faults_,
                      detect_estimator& analysis_,
@@ -82,118 +79,27 @@ struct optimize_context {
     bool stop = false;                ///< a stage ended the optimization
 };
 
-/// One stage of the pipeline. reads()/writes() document the context
-/// fields a stage touches — the contract that makes per-stage
-/// parallelization safe to reason about.
-class optimize_stage {
-public:
-    virtual ~optimize_stage() = default;
-    virtual const char* name() const = 0;
-    virtual const char* reads() const = 0;
-    virtual const char* writes() const = 0;
-    virtual void run(optimize_context& cx) = 0;
-};
+/// The stage names, in pipeline order — the paper's vocabulary, and the
+/// keys for per-stage reporting.
+inline constexpr std::array<std::string_view, 6> optimize_stage_names = {
+    "ANALYSIS", "SORT", "NORMALIZE", "PREPARE", "MINIMIZE", "SADDLE_ESCAPE"};
 
-/// ANALYSIS: one detection probability per fault at the current weights,
-/// sharded across pool engines.
-class analysis_stage final : public optimize_stage {
-public:
-    const char* name() const override { return "ANALYSIS"; }
-    const char* reads() const override { return "res.weights, faults"; }
-    const char* writes() const override {
-        return "probs, res.analysis_calls";
-    }
-    void run(optimize_context& cx) override;
-};
-
-/// SORT: detectable faults ordered by ascending probability.
-class sort_stage final : public optimize_stage {
-public:
-    const char* name() const override { return "SORT"; }
-    const char* reads() const override { return "probs"; }
-    const char* writes() const override {
-        return "order, res.zero_prob_faults";
-    }
-    void run(optimize_context& cx) override;
-};
-
-/// NORMALIZE: minimal N with J_N <= Q plus nf, objective terms sharded.
-class normalize_stage final : public optimize_stage {
-public:
-    const char* name() const override { return "NORMALIZE"; }
-    const char* reads() const override { return "probs, order, q, exec"; }
-    const char* writes() const override { return "norm"; }
-    void run(optimize_context& cx) override;
-};
-
+/// ANALYSIS: one detection probability per fault at the current weights
+/// (probs), sharded across pool engines.
+void run_analysis(optimize_context& cx);
+/// SORT: detectable faults ordered by ascending probability (order).
+void run_sort(optimize_context& cx);
+/// NORMALIZE: minimal N with J_N <= Q plus nf (norm).
+void run_normalize(optimize_context& cx);
 /// PREPARE: p_f at the two ends of the admissible interval for every
-/// coordinate of the current block, issued as one probe batch.
-class prepare_stage final : public optimize_stage {
-public:
-    const char* name() const override { return "PREPARE"; }
-    const char* reads() const override {
-        return "res.weights, hard, block_begin, block_end";
-    }
-    const char* writes() const override {
-        return "block_probes, prepared, res.analysis_calls";
-    }
-    void run(optimize_context& cx) override;
-};
-
+/// coordinate of [block_begin, block_end), issued as one probe batch.
+void run_prepare(optimize_context& cx);
 /// MINIMIZE: fit the affine models from PREPARE and step the block's
 /// coordinates simultaneously (trust region + grid snap).
-class minimize_stage final : public optimize_stage {
-public:
-    const char* name() const override { return "MINIMIZE"; }
-    const char* reads() const override {
-        return "prepared, hard, n_new, block_begin, block_end";
-    }
-    const char* writes() const override { return "res.weights"; }
-    void run(optimize_context& cx) override;
-};
-
+void run_minimize(optimize_context& cx);
 /// SADDLE_ESCAPE: on a stalled sweep, probe five deterministic wholesale
-/// perturbations as multi-input moves on the existing engines and
-/// continue from the best improving one; sets stop when none improves.
-class saddle_escape_stage final : public optimize_stage {
-public:
-    const char* name() const override { return "SADDLE_ESCAPE"; }
-    const char* reads() const override {
-        return "res.weights, probs, n_new, options";
-    }
-    const char* writes() const override {
-        return "res.weights, probs, order, norm, n_old, n_new, "
-               "best_weights, best_n, escaped, stop";
-    }
-    void run(optimize_context& cx) override;
-};
-
-/// The driver: owns the context and the six stages, and runs the paper's
-/// loop over them.
-class optimize_pipeline {
-public:
-    optimize_pipeline(const netlist& nl, const std::vector<fault>& faults,
-                      detect_estimator& analysis, const weight_vector& start,
-                      const optimize_options& options);
-
-    /// Run to convergence and return the result (consumes the iterate).
-    optimize_result run();
-
-    /// The stage sequence, in pipeline order — introspection for tests
-    /// and docs.
-    std::span<optimize_stage* const> stages() { return stages_; }
-
-private:
-    void run_analysis_block();  ///< ANALYSIS -> SORT -> NORMALIZE
-
-    optimize_context cx_;
-    analysis_stage analysis_;
-    sort_stage sort_;
-    normalize_stage normalize_;
-    prepare_stage prepare_;
-    minimize_stage minimize_;
-    saddle_escape_stage saddle_;
-    optimize_stage* stages_[6];
-};
+/// perturbations and continue from the best improving one; sets stop
+/// when none improves.
+void run_saddle_escape(optimize_context& cx);
 
 }  // namespace wrpt

@@ -80,17 +80,6 @@ public:
     /// execute probes in parallel (1 = sequential). Purely a performance
     /// knob: results do not depend on it.
     virtual void set_threads(unsigned) {}
-
-    /// Single-input convenience: one probe moving `input` to `value` —
-    /// the historical PREPARE query shape, now a wrapper over the batch.
-    std::vector<double> estimate_input_delta(const netlist& nl,
-                                             const std::vector<fault>& faults,
-                                             const weight_vector& base,
-                                             std::size_t input, double value) {
-        const probe p{{input, value}};
-        return std::move(
-            estimate_probes(nl, faults, base, {&p, 1}).front());
-    }
 };
 
 /// Analytic estimator: p_f = P(site carries the error value) * obs(line).

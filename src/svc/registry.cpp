@@ -26,12 +26,12 @@ void check_address(const std::string& tenant, const std::string& name) {
 
 }  // namespace
 
-registry::registered registry::register_circuit(batch_session& session,
-                                                const std::string& tenant,
+registry::registry(batch_session& session) : registry(session, options{}) {}
+
+registry::registered registry::register_circuit(const std::string& tenant,
                                                 const std::string& name,
                                                 netlist nl) {
     check_address(tenant, name);
-    write_lock lock(mutex_);
     tenant_state& ts = tenants_[tenant];
     const std::string address = address_of(tenant, name);
     if (entries_.find(address) != entries_.end())
@@ -46,79 +46,69 @@ registry::registered registry::register_circuit(batch_session& session,
                          "' is at its circuit quota (" +
                          std::to_string(options_.quota.max_circuits) + ")");
     }
-    // Lazy residency: reserve the handle and keep the parsed master, but
-    // compile nothing — the first named job pays for the view.
+    // Lazy residency: the session keeps the parsed netlist but compiles
+    // nothing — the first job on the circuit pays for the view.
+    const std::size_t handle = session_.add_circuit(std::move(nl), false);
     entry& e = entries_[address];
     e.tenant = tenant;
     e.name = name;
-    e.handle = session.reserve_handle();
-    e.master = std::move(nl);
-    e.revision = e.master.revision();
+    e.handle = handle;
+    by_handle_.try_emplace(handle, &e);
     ++ts.circuits;
     touch(e);
-    return {e.handle, e.revision};
+    return {handle, session_.circuit(handle).revision()};
 }
 
-registry::reloaded registry::reload_circuit(batch_session& session,
-                                            const std::string& tenant,
+registry::reloaded registry::reload_circuit(const std::string& tenant,
                                             const std::string& name,
                                             netlist nl) {
     check_address(tenant, name);
-    write_lock lock(mutex_);
     const auto it = entries_.find(address_of(tenant, name));
     if (it == entries_.end())
         throw registry_error("not-found", "registry: unknown circuit '" +
                                               address_of(tenant, name) + "'");
     entry& e = it->second;
-    const std::uint64_t old_revision = e.revision;
-    e.master = std::move(nl);
-    e.revision = e.master.revision();
+    const std::uint64_t old_revision = session_.circuit(e.handle).revision();
+    // The caller holds the session lock exclusively, so every in-flight
+    // job has drained on the old view; the old warm engine pool dies with
+    // it, and the revision re-stamp orphans the old cache bucket on the
+    // next insert.
+    session_.reload(e.handle, std::move(nl));
+    if (session_.has_circuit(e.handle))
+        apply_engine_quota(session_.pool(e.handle));
     ++e.reloads;
-    if (e.resident) {
-        // Swap the compiled view under the same handle. The caller holds
-        // the session lock exclusively, so every in-flight job has
-        // drained on the old view; the old warm engine pool dies with it,
-        // and the revision re-stamp orphans the old cache bucket on the
-        // next insert. A master *copy* goes in so the stored master keeps
-        // serving later rebuilds with the same revision.
-        session.replace_circuit(e.handle, netlist(e.master));
-        apply_engine_quota(session.pool(e.handle));
-    }
     touch(e);
-    return {e.handle, e.revision, old_revision, e.reloads};
+    return {e.handle, session_.circuit(e.handle).revision(), old_revision,
+            e.reloads};
 }
 
 registry::resolution registry::resolve(const std::string& address) const {
-    read_lock lock(mutex_);
     const auto it = entries_.find(address);
     if (it == entries_.end()) return {};
     touch(it->second);  // LRU stamp: atomic, safe under the shared lock
-    return {true, it->second.resident, it->second.handle};
+    return {true, session_.has_circuit(it->second.handle), it->second.handle};
 }
 
-bool registry::needs_compile(const std::string& address) const {
-    read_lock lock(mutex_);
-    const auto it = entries_.find(address);
-    return it != entries_.end() && !it->second.resident;
+registry::resolution registry::resolve(std::size_t handle) const {
+    if (!session_.has_entry(handle)) return {};
+    if (entry* const* e = by_handle_.find(handle)) touch(**e);
+    return {true, session_.has_circuit(handle), handle};
 }
 
-void registry::ensure_resident(batch_session& session,
-                               const std::string& address) {
-    write_lock lock(mutex_);
-    const auto it = entries_.find(address);
-    if (it == entries_.end()) return;  // resolve reports the typed error
-    entry& e = it->second;
-    if (e.resident) return;
-    // A master copy shares the master's revision stamp, so results cached
-    // for this entry before an earlier eviction revalidate after the
-    // rebuild — the bucket's revision still matches.
-    session.restore_circuit(e.handle, netlist(e.master));
-    apply_engine_quota(session.pool(e.handle));
-    e.resident = true;
-    ++resident_;
+const std::string* registry::tenant_of(std::size_t handle) const {
+    entry* const* e = by_handle_.find(handle);
+    return e == nullptr ? nullptr : &(*e)->tenant;
+}
+
+void registry::make_resident(std::size_t handle) {
+    if (!session_.make_resident(handle)) return;
+    // Unnamed circuits compile on load and are never unloaded, so only a
+    // registered entry gets here.
+    entry* const* e = by_handle_.find(handle);
+    if (e == nullptr) return;
+    apply_engine_quota(session_.pool(handle));
     ++view_rebuilds_;
-    touch(e);
-    evict_excess(session, &e);
+    touch(**e);
 }
 
 void registry::apply_engine_quota(engine_pool& pool) const {
@@ -129,34 +119,28 @@ void registry::apply_engine_quota(engine_pool& pool) const {
     pool.set_capacity(current == 0 ? quota : std::min(current, quota));
 }
 
-void registry::evict_excess(batch_session& session, const entry* keep) {
+void registry::trim() {
     if (options_.max_views == 0) return;
-    while (resident_ > options_.max_views) {
-        // O(entries) scan per eviction: evictions are as rare as compiles,
-        // which dwarf the scan, so an index would be bookkeeping for
-        // nothing.
-        entry* coldest = nullptr;
-        std::uint64_t coldest_use = 0;
-        for (auto& [address, e] : entries_) {
-            if (!e.resident || &e == keep) continue;
-            const std::uint64_t use =
-                e.last_use.load(std::memory_order_relaxed);
-            if (coldest == nullptr || use < coldest_use) {
-                coldest = &e;
-                coldest_use = use;
-            }
-        }
-        if (coldest == nullptr) break;  // only `keep` itself is resident
-        session.unload_circuit(coldest->handle);
-        coldest->resident = false;
-        --resident_;
+    std::vector<const entry*> resident;
+    for (const auto& [address, e] : entries_)
+        if (session_.has_circuit(e.handle)) resident.push_back(&e);
+    if (resident.size() <= options_.max_views) return;
+    // Coldest first; stamps are unique, so the order is deterministic.
+    const auto excess = static_cast<std::ptrdiff_t>(resident.size() -
+                                                    options_.max_views);
+    std::partial_sort(resident.begin(), resident.begin() + excess,
+                      resident.end(), [](const entry* a, const entry* b) {
+                          return a->last_use.load(std::memory_order_relaxed) <
+                                 b->last_use.load(std::memory_order_relaxed);
+                      });
+    for (auto it = resident.begin(); it != resident.begin() + excess; ++it) {
+        session_.unload((*it)->handle);
         ++view_evictions_;
     }
 }
 
 std::vector<catalog_entry_payload> registry::list(
     const std::string& tenant) const {
-    read_lock lock(mutex_);
     std::vector<catalog_entry_payload> rows;
     rows.reserve(entries_.size());
     for (const auto& [address, e] : entries_) {
@@ -165,8 +149,8 @@ std::vector<catalog_entry_payload> registry::list(
         row.tenant = e.tenant;
         row.name = e.name;
         row.circuit = e.handle;
-        row.revision = e.revision;
-        row.resident = e.resident;
+        row.revision = session_.circuit(e.handle).revision();
+        row.resident = session_.has_circuit(e.handle);
         row.reloads = e.reloads;
         rows.push_back(std::move(row));
     }
@@ -180,10 +164,10 @@ std::vector<catalog_entry_payload> registry::list(
 }
 
 registry::counters registry::stats() const {
-    read_lock lock(mutex_);
     counters c;
     c.circuits = entries_.size();
-    c.resident = resident_;
+    for (const auto& [address, e] : entries_)
+        if (session_.has_circuit(e.handle)) ++c.resident;
     c.view_evictions = view_evictions_;
     c.view_rebuilds = view_rebuilds_;
     c.tenants.reserve(tenants_.size());

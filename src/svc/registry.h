@@ -1,46 +1,46 @@
 // Named multi-tenant circuit registry — the catalog layer above
 // exec/batch_session.
 //
-// The session deals in integer handles; the registry gives those handles
-// durable names. A circuit registers as "tenant/name", jobs address it by
-// that string, and the server resolves the name to a handle before the
-// job touches the cache or the session. Three properties make the catalog
-// serve-shaped:
+// The session deals in integer handles and owns every circuit: its
+// netlist, its revision and, while resident, its compiled view, faults
+// and engine pool. The registry only gives handles durable names: a
+// circuit registers as "tenant/name", jobs address it by that string (or
+// by the handle registration returned — the two spellings are
+// interchangeable), and the registry keeps, per name, just the tenant,
+// the handle, the reload count and an LRU stamp. Residency, revision and
+// the netlist are the session's, asked for on demand. Three properties
+// make the catalog serve-shaped:
 //
-//  * Lazy residency with a bounded view LRU. register_circuit parses and
-//    stores the netlist master but compiles nothing, so thousands of
-//    registrations stay cheap; the first named job compiles the view
-//    (restore_circuit under the entry's reserved handle) and, when the
-//    resident count would exceed options.max_views, the coldest resident
-//    view — least-recently resolved, by an atomic use stamp exactly like
-//    engine_pool's checkout stamps — is unloaded. Because a master copy
-//    shares the master's revision stamp (the netlist copy contract),
-//    results cached before an eviction revalidate after the rebuild: the
-//    cache bucket's revision still matches.
+//  * Lazy residency with a bounded view LRU. register_circuit parses the
+//    netlist into a non-resident session entry, so thousands of
+//    registrations stay cheap; the first job on the circuit compiles its
+//    view (make_resident), and trim() then unloads the coldest resident
+//    views — least-recently resolved, by an atomic use stamp exactly like
+//    engine_pool's checkout stamps — beyond options.max_views. Unloading
+//    keeps the session's netlist and its revision, so results cached
+//    before an eviction revalidate after the rebuild: the cache bucket's
+//    revision still matches.
 //
-//  * Atomic hot reload. reload_circuit swaps the master for a freshly
-//    parsed netlist (new revision) and, if the entry is resident,
-//    recompiles in place under the same handle while the caller holds the
-//    session lock exclusively — in-flight jobs have already drained, the
-//    old view's warm engine pool is destroyed with it, and the old cache
-//    bucket is orphaned by the revision re-stamp on first insert. A
-//    request therefore only ever observes one revision end to end.
+//  * Atomic hot reload. reload_circuit swaps the entry's netlist for a
+//    freshly parsed one (new revision) and, if resident, recompiles it in
+//    place under the same handle while the caller holds the session lock
+//    exclusively — in-flight jobs have already drained, the old view's
+//    warm engine pool is destroyed with it, and the old cache bucket is
+//    orphaned by the revision re-stamp on first insert. A request
+//    therefore only ever observes one revision end to end.
 //
 //  * Per-tenant quotas. A uniform tenant_quota bounds registered circuits
 //    (typed "quota" refusal past the cap), clamps each compiled view's
 //    engine-pool capacity, and caps result-cache bytes (enforced by the
-//    service's insert path, which attributes entries to tenants). Refusal
-//    envelopes carry a machine-readable `code` so clients can tell quota
-//    pressure from not-found from malformed input.
+//    service's insert path, which attributes entries to tenants through
+//    tenant_of). Refusal envelopes carry a machine-readable `code` so
+//    clients can tell quota pressure from not-found from malformed input.
 //
-// Locking: the registry has its own shared_mutex, always acquired under
-// the service's session lock (lock order: session_mutex_ -> registry
-// mutex_ -> cache_mutex_; the registry is never locked while cache_mutex_
-// is held). Mutators (register/reload/ensure_resident) additionally
-// require the caller to hold the session lock exclusively, because they
-// reshape the session's circuit table; resolve/list/stats run under a
-// shared session lock and a shared registry lock, with LRU stamps as
-// atomics so readers never need the exclusive side.
+// Locking: the registry has no lock of its own. It lives under the
+// service's session lock, like the session it indexes: mutators
+// (register/reload/make_resident/trim) need it exclusive, the const
+// readers (resolve/tenant_of/list/stats) shared, with LRU stamps as
+// atomics so concurrent readers never need the exclusive side.
 
 #pragma once
 
@@ -54,11 +54,7 @@
 #include "exec/batch_session.h"
 #include "netlist/netlist.h"
 #include "svc/request.h"
-#include "util/sync.h"
-
-namespace wrpt {
-class engine_pool;
-}
+#include "util/dense_map.h"
 
 namespace wrpt::svc {
 
@@ -86,14 +82,15 @@ public:
 
     struct options {
         /// Resident compiled views across the whole catalog (0 =
-        /// unbounded): the coldest view is unloaded when a compile would
-        /// exceed it.
+        /// unbounded): trim() unloads the coldest views beyond it.
         std::size_t max_views = 0;
         tenant_quota quota;
     };
 
-    registry() = default;
-    explicit registry(options opt) : options_(opt) {}
+    /// A catalog over `session`'s entries; the session must outlive it.
+    explicit registry(batch_session& session);  // default options
+    registry(batch_session& session, options opt)
+        : session_(session), options_(opt) {}
 
     registry(const registry&) = delete;
     registry& operator=(const registry&) = delete;
@@ -116,38 +113,39 @@ public:
         std::size_t handle = 0;
     };
 
-    /// Register `nl` as "tenant/name". Lazy: reserves a session handle and
-    /// stores the master netlist, compiling nothing. Throws registry_error
-    /// ("invalid" for a malformed address, "exists" for a taken name,
-    /// "quota" past the tenant's circuit cap — counted as a rejection).
-    /// Caller holds the session lock exclusively.
-    registered register_circuit(batch_session& session,
-                                const std::string& tenant,
+    /// Register `nl` as "tenant/name": adds a non-resident session entry,
+    /// compiling nothing. Throws registry_error ("invalid" for a
+    /// malformed address, "exists" for a taken name, "quota" past the
+    /// tenant's circuit cap — counted as a rejection).
+    registered register_circuit(const std::string& tenant,
                                 const std::string& name, netlist nl);
 
-    /// Swap the master for "tenant/name" and, if resident, recompile under
-    /// the same handle. Throws registry_error("not-found") for unknown
-    /// names. Caller holds the session lock exclusively.
-    reloaded reload_circuit(batch_session& session, const std::string& tenant,
-                            const std::string& name, netlist nl);
+    /// Swap the netlist of "tenant/name" and, if resident, recompile it
+    /// under the same handle. Throws registry_error("not-found") for
+    /// unknown names.
+    reloaded reload_circuit(const std::string& tenant, const std::string& name,
+                            netlist nl);
 
-    /// Look up "tenant/name" and stamp its LRU clock. Safe under a shared
-    /// session lock; never compiles.
+    /// Look up "tenant/name" and stamp its LRU clock. Never compiles.
     resolution resolve(const std::string& address) const;
+    /// The same for a raw handle: found for every session entry, named
+    /// or not; stamps the LRU clock of registered ones.
+    resolution resolve(std::size_t handle) const;
 
-    /// True when `address` names a registered entry whose view is not
-    /// resident (the caller must upgrade to the exclusive session lock and
-    /// ensure_resident before running jobs on it).
-    bool needs_compile(const std::string& address) const;
+    /// The tenant owning `handle`, or nullptr for an unnamed circuit
+    /// (load_circuit).
+    const std::string* tenant_of(std::size_t handle) const;
 
-    /// Compile `address`'s view if registered and not resident, then
-    /// unload the coldest resident views beyond options.max_views. A
-    /// no-op for unknown names (resolve reports those as typed errors).
-    /// Caller holds the session lock exclusively.
-    void ensure_resident(batch_session& session, const std::string& address);
+    /// Compile `handle`'s view if it is not resident; a registered entry
+    /// also gets its tenant's engine quota and counts as a view rebuild.
+    void make_resident(std::size_t handle);
+
+    /// Unload the coldest resident registered views until at most
+    /// options.max_views remain (no-op when unbounded).
+    void trim();
 
     /// Catalog rows, sorted by "tenant/name"; `tenant` filters when
-    /// non-empty. Safe under a shared session lock.
+    /// non-empty.
     std::vector<catalog_entry_payload> list(const std::string& tenant) const;
 
     struct tenant_row {
@@ -169,14 +167,10 @@ private:
         std::string tenant;
         std::string name;
         std::size_t handle = 0;
-        netlist master;  ///< source of truth; copies share its revision
-        std::uint64_t revision = 0;
-        bool resident = false;
         std::uint64_t reloads = 0;
-        /// LRU stamp, written by resolve() under the shared lock — atomic
-        /// so concurrent resolvers never race (mutable because stamping is
-        /// a read-path side effect); entries live in node-stable
-        /// unordered_map nodes, so the address is durable.
+        /// LRU stamp, written by resolve() under the shared session lock —
+        /// atomic so concurrent resolvers never race (mutable because
+        /// stamping is a read-path side effect).
         mutable std::atomic<std::uint64_t> last_use{0};
     };
     struct tenant_state {
@@ -191,26 +185,21 @@ private:
     /// Clamp a freshly compiled view's engine pool to the tenant quota
     /// (the tighter of the session default and the quota wins).
     void apply_engine_quota(engine_pool& pool) const;
-    /// Unload coldest resident views until at most options.max_views
-    /// remain; `keep` is never a victim.
-    void evict_excess(batch_session& session, const entry* keep)
-        WRPT_REQUIRES(mutex_);
 
+    batch_session& session_;
     options options_;
-    /// Registry-structure lock; see the header comment for the order
-    /// relative to the service's locks.
-    mutable wrpt::shared_mutex mutex_;
     /// Address "tenant/name" -> entry. String-keyed and node-stable by
     /// design: names are arbitrary text (no dense integer domain) and the
     /// atomic LRU stamps need durable addresses, which the dense map's
     /// relocating maintenance would break.
     std::unordered_map<std::string, entry>  // wrpt-lint: allow(dense-map)
-        entries_ WRPT_GUARDED_BY(mutex_);
+        entries_;
+    /// Handle -> entry, for handle-addressed jobs and cache attribution.
+    util::dense_map<entry*, std::size_t> by_handle_;
     std::unordered_map<std::string, tenant_state>  // wrpt-lint: allow(dense-map)
-        tenants_ WRPT_GUARDED_BY(mutex_);
-    std::size_t resident_ WRPT_GUARDED_BY(mutex_) = 0;
-    std::uint64_t view_evictions_ WRPT_GUARDED_BY(mutex_) = 0;
-    std::uint64_t view_rebuilds_ WRPT_GUARDED_BY(mutex_) = 0;
+        tenants_;
+    std::uint64_t view_evictions_ = 0;
+    std::uint64_t view_rebuilds_ = 0;
     mutable std::atomic<std::uint64_t> use_clock_{0};
 };
 

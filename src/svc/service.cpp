@@ -18,13 +18,9 @@ service::service() : service(options{}) {}
 
 service::service(options opt)
     : options_(opt),
-      registry_(registry::options{opt.max_views, opt.tenant_quota}) {
-    batch_session::options so;
-    so.threads = opt.threads;
-    so.confidence = opt.confidence;
-    so.max_engines = opt.max_engines;
-    session_ = std::make_unique<batch_session>(so);
-}
+      session_(std::make_unique<batch_session>(batch_session::options{
+          opt.threads, opt.confidence, opt.max_engines})),
+      registry_(*session_, {opt.max_views, opt.tenant_quota}) {}
 
 service::~service() = default;
 
@@ -134,15 +130,11 @@ response service::handle_register(std::uint64_t id,
     netlist nl = parse_circuit_source("register_circuit", p.bench, p.path,
                                       p.suite, p.name);
     const netlist_stats st = nl.stats();
-    // Registration reserves a handle (reshaping the session's table) but
-    // compiles nothing — the first named job pays for the view.
+    // Registration adds a session entry (reshaping the circuit table) but
+    // compiles nothing — the first job on the circuit pays for the view.
     write_lock session_lock(session_mutex_);
     const registry::registered reg =
-        registry_.register_circuit(*session_, p.tenant, p.name, std::move(nl));
-    {
-        lock_guard cache_lock(cache_mutex_);
-        handle_tenant_.try_emplace(reg.handle, p.tenant);
-    }
+        registry_.register_circuit(p.tenant, p.name, std::move(nl));
     register_circuit_response out;
     out.tenant = p.tenant;
     out.name = p.name;
@@ -165,7 +157,7 @@ response service::handle_reload(std::uint64_t id,
     // only ever observes one revision end to end.
     write_lock session_lock(session_mutex_);
     const registry::reloaded rl =
-        registry_.reload_circuit(*session_, p.tenant, p.name, std::move(nl));
+        registry_.reload_circuit(p.tenant, p.name, std::move(nl));
     reload_circuit_response out;
     out.tenant = p.tenant;
     out.name = p.name;
@@ -194,8 +186,8 @@ response service::handle_stats(std::uint64_t id) {
     read_lock session_lock(session_mutex_);
     stats_response out;
     out.requests = requests_.load(std::memory_order_relaxed);
-    // Registry before cache: the lock order is session -> registry ->
-    // cache, and the per-tenant byte attribution lives under cache_mutex_.
+    // The registry reads under the session lock alone; the per-tenant byte
+    // attribution lives under cache_mutex_.
     const registry::counters rc = registry_.stats();
     std::unordered_map<std::string, std::uint64_t>  // wrpt-lint: allow(dense-map)
         tenant_bytes;
@@ -237,6 +229,7 @@ response service::handle_stats(std::uint64_t id) {
         }
     }
     for (const std::size_t c : session_->handles()) {
+        if (!session_->has_circuit(c)) continue;
         const engine_pool& pool = session_->pool(c);
         const engine_pool::counters pc = pool.stats();
         pool_stats_payload ps;
@@ -273,9 +266,10 @@ response service::handle_evict(std::uint64_t id, const evict_request& p) {
         cache_bytes_ = 0;
         tenant_bytes_.clear();
         for (const std::size_t c : session_->handles())
-            out.engines += session_->pool(c).evict(p.keep_engines);
+            if (session_->has_circuit(c))
+                out.engines += session_->pool(c).evict(p.keep_engines);
     } else {
-        require(session_->has_circuit(p.circuit), "evict: bad circuit handle");
+        require(session_->has_entry(p.circuit), "evict: bad circuit handle");
         // Two-level payoff: evicting one circuit drops its bucket whole
         // instead of scanning every cached key in the service.
         if (circuit_bucket* b = cache_.find(p.circuit)) {
@@ -286,7 +280,9 @@ response service::handle_evict(std::uint64_t id, const evict_request& p) {
             b->entries.clear();
             b->bytes = 0;
         }
-        out.engines = session_->pool(p.circuit).evict(p.keep_engines);
+        // A non-resident circuit has no engines to drop.
+        if (session_->has_circuit(p.circuit))
+            out.engines = session_->pool(p.circuit).evict(p.keep_engines);
     }
     cache_evictions_ += out.cache_entries;
     response r;
@@ -334,30 +330,33 @@ std::string validate_options(const fault_sim_request&) { return {}; }
 
 }  // namespace
 
-std::string service::resolve_named(job_request& j, std::string* code) const {
-    const std::string name =
-        std::visit([](const auto& p) { return p.name; }, j);
-    if (name.empty()) return {};
-    const registry::resolution r = registry_.resolve(name);
-    if (!r.found) {
-        *code = "not-found";
-        return "unknown circuit '" + name + "'";
+bool service::resolve_jobs(std::uint64_t id, std::vector<job_request>& jobs,
+                           std::vector<response>& out) const {
+    bool cold = false;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        std::visit(
+            [&](auto& p) {
+                if (p.name.empty()) {
+                    // Unknown handles are left to validate().
+                    const registry::resolution r = registry_.resolve(p.circuit);
+                    cold |= r.found && !r.resident;
+                    return;
+                }
+                const registry::resolution r = registry_.resolve(p.name);
+                if (!r.found) {
+                    out[i] = make_error(id, "unknown circuit '" + p.name + "'",
+                                        "not-found");
+                    return;
+                }
+                // Rewrite to the handle spelling and drop the name, so the
+                // cache fingerprint is shared with handle-addressed queries.
+                p.circuit = r.handle;
+                p.name.clear();
+                cold |= !r.resident;
+            },
+            jobs[i]);
     }
-    if (!r.resident || !session_->has_circuit(r.handle)) {
-        // Unreachable from run_jobs (residency is ensured under the same
-        // continuously-held session lock); defensive for future callers.
-        *code = "not-ready";
-        return "circuit '" + name + "' has no resident view";
-    }
-    // Rewrite to the handle spelling and drop the name, so the cache
-    // fingerprint below is shared with handle-addressed queries.
-    std::visit(
-        [&](auto& p) {
-            p.circuit = r.handle;
-            p.name.clear();
-        },
-        j);
-    return {};
+    return cold;
 }
 
 std::string service::validate(const job_request& j) const {
@@ -506,8 +505,8 @@ void service::insert_cached(cache_locator key, const batch_session::result& r) {
 
 void service::tenant_bytes_add(std::size_t circuit, std::int64_t delta) {
     // Caller holds cache_mutex_.
-    const std::string* tenant = handle_tenant_.find(circuit);
-    if (tenant == nullptr) return;  // handle-loaded circuit: untracked
+    const std::string* tenant = registry_.tenant_of(circuit);
+    if (tenant == nullptr) return;  // unnamed (load_circuit): untracked
     std::uint64_t& bytes = tenant_bytes_[*tenant];
     bytes = static_cast<std::uint64_t>(static_cast<std::int64_t>(bytes) +
                                        delta);
@@ -517,7 +516,7 @@ void service::enforce_tenant_cache_quota(std::size_t circuit) {
     // Caller holds cache_mutex_.
     const std::uint64_t cap = registry_.config().quota.max_cache_bytes;
     if (cap == 0) return;
-    const std::string* tenant = handle_tenant_.find(circuit);
+    const std::string* tenant = registry_.tenant_of(circuit);
     if (tenant == nullptr) return;
     const auto bit = tenant_bytes_.find(*tenant);
     if (bit == tenant_bytes_.end() || bit->second <= cap) return;
@@ -526,7 +525,7 @@ void service::enforce_tenant_cache_quota(std::size_t circuit) {
     // stale records behind, skipped lazily like any other.
     for (const order_record& rec : cache_order_) {
         if (bit->second <= cap) break;
-        const std::string* owner = handle_tenant_.find(rec.circuit);
+        const std::string* owner = registry_.tenant_of(rec.circuit);
         if (owner == nullptr || *owner != *tenant) continue;
         circuit_bucket* ob = cache_.find(rec.circuit);
         if (ob == nullptr) continue;
@@ -612,62 +611,53 @@ response service::to_response(std::uint64_t id,
 }
 
 response service::handle_matrix(std::uint64_t id, const matrix_request& p) {
-    // Expansion reads the circuit table (an empty circuit list means
-    // "every registered circuit"), so it must sit under the same shared
-    // lock as the jobs themselves — a concurrent load_circuit would
-    // otherwise race the expansion's circuit_count() read.
-    read_lock session_lock(session_mutex_);
+    // Expansion reads the circuit table (an empty circuit list means every
+    // entry), so it runs under the session lock too.
+    std::vector<job_request> jobs;
+    {
+        read_lock session_lock(session_mutex_);
+        jobs = session_->expand_matrix(p);
+    }
     response r;
     r.id = id;
     matrix_response m;
-    m.results = run_jobs_locked(id, session_->expand_matrix(p));
+    m.results = run_jobs(id, std::move(jobs));
     r.payload = std::move(m);
     return r;
 }
 
-namespace {
-
-const std::string& job_name(const job_request& j) {
-    return std::visit(
-        [](const auto& p) -> const std::string& { return p.name; }, j);
-}
-
-}  // namespace
-
 std::vector<response> service::run_jobs(std::uint64_t id,
-                                        const std::vector<job_request>& jobs) {
+                                        std::vector<job_request> jobs) {
+    std::vector<response> out(jobs.size());
     // Shared session lock for the whole batch: the circuit table stays
-    // stable under us while concurrent run_jobs callers from other
-    // connections proceed in parallel (only load/register/reload exclude).
-    // Named jobs ride the same shared path as long as every named view is
-    // resident; unknown names resolve to typed errors without upgrading.
+    // stable under us while concurrent batches from other connections
+    // proceed in parallel (only load/register/reload exclude). Names
+    // resolve once, here; unknown ones answer with typed errors.
     {
         read_lock session_lock(session_mutex_);
-        bool compile = false;
-        for (const job_request& j : jobs) {
-            const std::string& name = job_name(j);
-            if (!name.empty() && registry_.needs_compile(name)) {
-                compile = true;
-                break;
-            }
+        if (!resolve_jobs(id, jobs, out)) {
+            run_jobs_locked(id, jobs, out);
+            return out;
         }
-        if (!compile) return run_jobs_locked(id, jobs);
     }
-    // Some named view needs compiling (first use, or evicted by the
+    // Some circuit needs its view compiled (first use, or evicted by the
     // max_views LRU): take the session lock exclusively for the whole
-    // batch, so the views we materialize cannot be re-evicted by a
-    // concurrent batch before our jobs resolve against them.
+    // batch, so every view it needs stays resident until it has answered;
+    // the LRU then trims back to max_views. Resolved handles stay valid
+    // across the upgrade: entries are never removed.
     write_lock session_lock(session_mutex_);
-    for (const job_request& j : jobs) {
-        const std::string& name = job_name(j);
-        if (!name.empty()) registry_.ensure_resident(*session_, name);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::size_t h =
+            std::visit([](const auto& p) { return p.circuit; }, jobs[i]);
+        if (out[i].ok && session_->has_entry(h)) registry_.make_resident(h);
     }
-    return run_jobs_locked(id, jobs);
+    run_jobs_locked(id, jobs, out);
+    registry_.trim();
+    return out;
 }
 
-std::vector<response> service::run_jobs_locked(
-    std::uint64_t id, const std::vector<job_request>& jobs) {
-    std::vector<response> out(jobs.size());
+void service::run_jobs_locked(std::uint64_t id, std::vector<job_request>& jobs,
+                              std::vector<response>& out) {
     std::vector<cache_locator> keys(jobs.size());
     // Validate and probe the cache up front; only distinct cache misses
     // go to the session (duplicate keys within one batch compute once and
@@ -682,12 +672,8 @@ std::vector<response> service::run_jobs_locked(
     std::vector<std::vector<std::size_t>> owners;  // per slot: job indices
     std::vector<job_request> to_run;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        job_request j = jobs[i];
-        std::string code;
-        if (std::string msg = resolve_named(j, &code); !msg.empty()) {
-            out[i] = make_error(id, msg, code);
-            continue;
-        }
+        if (!out[i].ok) continue;  // unknown name, answered by resolve_jobs
+        job_request& j = jobs[i];
         if (std::string msg = validate(j); !msg.empty()) {
             out[i] = make_error(id, msg);
             continue;
@@ -752,7 +738,6 @@ std::vector<response> service::run_jobs_locked(
             }
         }
     }
-    return out;
 }
 
 }  // namespace wrpt::svc

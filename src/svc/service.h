@@ -30,27 +30,29 @@
 // individually — invalid entries get per-entry error envelopes while the
 // valid remainder still runs concurrently on the session pool.
 //
-// Circuit names: jobs may address a circuit as "tenant/name" instead of
-// a handle; the name is resolved through the registry (svc/registry.h)
-// under the session lock and rewritten away before the cache fingerprint
-// is built, so named and handle spellings of one query share an entry. A
-// batch whose named views are all resident runs under the shared lock;
-// one that needs a compile (lazy residency, or a view evicted by the
-// --max-views LRU) takes the lock exclusively for the batch.
+// Circuits: the session holds one table of circuit entries. load_circuit
+// adds an unnamed, compiled entry; register_circuit adds a named one
+// through the registry (svc/registry.h), compiled on first use. Jobs may
+// address a circuit as "tenant/name" or by its handle — interchangeable
+// spellings: the name is resolved once, under the session lock, and
+// rewritten away before the cache fingerprint is built, so both share an
+// entry. A batch whose circuits are all resident runs under the shared
+// lock; one that needs a compile (lazy residency, or a view evicted by
+// the --max-views LRU) takes the lock exclusively for the batch, and the
+// LRU trims back to max_views once it has answered.
 //
 // Concurrency: handle() is safe to call from many threads at once — the
 // contract the socket daemon (svc/server.h) runs one session per
 // connection on. Two locks split the shared state: a shared_mutex over
-// the session structure (load/register/reload take it exclusively while
-// they reshape the circuit table; jobs, stats and evict share it) and a
-// plain mutex over the result cache and its counters, held only for
-// probes and inserts, never across a computation. The registry carries
-// its own shared_mutex between the two (lock order: session -> registry
-// -> cache). Job results stay deterministic, so
-// the race two connections can win against one cache key is benign: both
-// compute the same bits, each counts as a miss, the second insert
-// replaces an identical entry — and every job is still accounted as
-// exactly one hit or one miss.
+// the session and its registry (load/register/reload and compiling
+// batches take it exclusively while they reshape the circuit table;
+// jobs, list, stats and evict share it) and a plain mutex over the
+// result cache and its counters, held only for probes and inserts, never
+// across a computation (lock order: session -> cache). Job results stay
+// deterministic, so the race two connections can win against one cache
+// key is benign: both compute the same bits, each counts as a miss, the
+// second insert replaces an identical entry — and every job is still
+// accounted as exactly one hit or one miss.
 
 #pragma once
 
@@ -84,7 +86,7 @@ public:
         std::size_t max_cache_entries = 0;
         /// Resident compiled views across the registry catalog (0 =
         /// unbounded): registered circuits beyond this stay parsed-only
-        /// until a named job compiles them, evicting the coldest view.
+        /// until a job compiles them, evicting the coldest view.
         std::size_t max_views = 0;
         /// Uniform per-tenant limits for registered circuits (0 fields =
         /// unbounded); see registry::tenant_quota.
@@ -125,9 +127,12 @@ public:
     };
     cache_counters cache_stats() const;
 
-    /// The named-circuit catalog (internally synchronized); tests and
-    /// tools read counters and rows from it directly.
-    const registry& catalog() const { return registry_; }
+    /// The named-circuit catalog, for tests and tools that read counters
+    /// and rows directly on the single-threaded setup path — opted out of
+    /// the analysis like session().
+    const registry& catalog() const WRPT_NO_THREAD_SAFETY_ANALYSIS {
+        return registry_;
+    }
 
 private:
     /// Where an entry lives: level-1 handle, the revision the bucket must
@@ -180,19 +185,20 @@ private:
     /// Answer a batch of jobs: cached entries replay, the rest run
     /// concurrently through the session. responses[i] answers jobs[i].
     std::vector<response> run_jobs(std::uint64_t id,
-                                   const std::vector<job_request>& jobs);
-    /// The run_jobs body; the caller holds session_mutex_ shared (matrix
-    /// expansion must read the circuit table under the same lock).
-    std::vector<response> run_jobs_locked(
-        std::uint64_t id, const std::vector<job_request>& jobs)
+                                   std::vector<job_request> jobs);
+    /// The run_jobs body over resolved jobs; out[i] already holds the
+    /// answer for every job resolve_jobs refused.
+    void run_jobs_locked(std::uint64_t id, std::vector<job_request>& jobs,
+                         std::vector<response>& out)
         WRPT_REQUIRES_SHARED(session_mutex_);
 
-    /// Resolve a job's registry name (when set) to its handle, rewriting
-    /// the job in place — the name is cleared, so named and handle
-    /// spellings of the same query share one cache fingerprint. Returns a
-    /// non-empty message on failure and fills `code` with the typed
-    /// refusal class ("not-found" / "not-ready").
-    std::string resolve_named(job_request& j, std::string* code) const
+    /// Resolve every job's circuit through the registry, rewriting a name
+    /// to its handle in place — the name is cleared, so named and handle
+    /// spellings of the same query share one cache fingerprint. Unknown
+    /// names get a typed "not-found" envelope in out[i]. Returns true
+    /// when some known circuit is not resident.
+    bool resolve_jobs(std::uint64_t id, std::vector<job_request>& jobs,
+                      std::vector<response>& out) const
         WRPT_REQUIRES_SHARED(session_mutex_);
     /// Validate a job against the session (handle range, weight values);
     /// returns a non-empty message on failure.
@@ -206,23 +212,23 @@ private:
     const cache_entry* probe_cached(const cache_locator& key)
         WRPT_REQUIRES(cache_mutex_);
     void insert_cached(cache_locator key, const batch_session::result& r)
-        WRPT_REQUIRES(cache_mutex_);
+        WRPT_REQUIRES(cache_mutex_) WRPT_REQUIRES_SHARED(session_mutex_);
     /// Attribute `delta` cache bytes to the tenant owning `circuit` (a
-    /// no-op for handle-loaded circuits outside the registry).
+    /// no-op for unnamed load_circuit circuits).
     void tenant_bytes_add(std::size_t circuit, std::int64_t delta)
-        WRPT_REQUIRES(cache_mutex_);
+        WRPT_REQUIRES(cache_mutex_) WRPT_REQUIRES_SHARED(session_mutex_);
     /// Evict the oldest cache entries of `circuit`'s tenant until its
     /// bytes fit the per-tenant quota (no-op without a quota).
     void enforce_tenant_cache_quota(std::size_t circuit)
-        WRPT_REQUIRES(cache_mutex_);
+        WRPT_REQUIRES(cache_mutex_) WRPT_REQUIRES_SHARED(session_mutex_);
     static response to_response(std::uint64_t id,
                                 const batch_session::result& r, bool cached);
 
     options options_;
 
-    /// Session-structure lock: add_circuit (exclusive) vs everything that
-    /// reads the circuit table (shared). Always taken before cache_mutex_
-    /// when both are needed.
+    /// Session-structure lock over session_ and registry_: circuit-table
+    /// mutators (exclusive) vs everything that reads it (shared). Always
+    /// taken before cache_mutex_ when both are needed.
     mutable wrpt::shared_mutex session_mutex_
         WRPT_ACQUIRED_BEFORE(cache_mutex_);
     /// Result-cache lock: cache_, cache_order_ and the counters. Held for
@@ -234,10 +240,8 @@ private:
     std::unique_ptr<batch_session> session_
         WRPT_PT_GUARDED_BY(session_mutex_);
 
-    /// Named-circuit catalog. Internally synchronized with its own
-    /// shared_mutex, always acquired under session_mutex_ and never under
-    /// cache_mutex_ (lock order: session -> registry -> cache).
-    registry registry_;
+    /// Named-circuit catalog over session_: the name/tenant index only.
+    registry registry_ WRPT_GUARDED_BY(session_mutex_);
 
     /// Level 1: handle -> bucket. Handles are consecutive, so every
     /// probe is a direct-index array load (count-free const reads are not
@@ -254,11 +258,6 @@ private:
     std::uint64_t cache_evictions_ WRPT_GUARDED_BY(cache_mutex_) = 0;
     std::size_t cache_entries_ WRPT_GUARDED_BY(cache_mutex_) = 0;
     std::uint64_t cache_bytes_ WRPT_GUARDED_BY(cache_mutex_) = 0;
-    /// Handle -> owning tenant, for per-tenant cache accounting. Written
-    /// once per registration; handles are consecutive, so the probe on
-    /// every insert is a direct-index load.
-    util::dense_map<std::string, std::size_t> handle_tenant_
-        WRPT_GUARDED_BY(cache_mutex_);
     /// Tenant -> retained result-cache bytes (string-keyed aggregate over
     /// arbitrary tenant names, never iterated in result-affecting order).
     std::unordered_map<std::string, std::uint64_t>  // wrpt-lint: allow(dense-map)

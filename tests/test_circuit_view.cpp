@@ -245,8 +245,10 @@ TEST_P(view_seeds, cop_estimator_delta_matches_full_estimate) {
     for (int step = 0; step < 6; ++step) {
         const std::size_t i = r.next_below(nl.input_count());
         const double v = 0.05 + 0.9 * r.next_double();
-        const auto a = incremental.estimate_input_delta(nl, faults, base, i, v);
-        const auto b = full.estimate_input_delta(nl, faults, base, i, v);
+        const probe p{{i, v}};
+        const auto a =
+            incremental.estimate_probes(nl, faults, base, {&p, 1}).front();
+        const auto b = full.estimate_probes(nl, faults, base, {&p, 1}).front();
         ASSERT_EQ(a.size(), b.size());
         for (std::size_t k = 0; k < a.size(); ++k)
             ASSERT_DOUBLE_EQ(a[k], b[k]) << to_string(nl, faults[k]);

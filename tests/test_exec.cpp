@@ -354,7 +354,7 @@ TEST(batch_session, add_circuit_file_round_trip) {
     write_bench_file(path.string(), nl);
 
     batch_session session;
-    const std::size_t h = session.add_circuit_file(path.string());
+    const std::size_t h = session.add_circuit(read_bench_file(path.string()));
     EXPECT_EQ(session.circuit(h).input_count(), nl.input_count());
     // The .bench round trip may insert output buffers, so compare the
     // fault universe against the re-read netlist, not the original.

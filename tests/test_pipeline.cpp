@@ -1,12 +1,10 @@
-// Tests for the staged OPTIMIZE pipeline: stage sequence/contract
-// introspection, the sharded ANALYSIS surface, the sharded NORMALIZE
-// reduction, and the headline guarantee — optimized weights, sweep
-// history, and test-length reports bit-identical across thread counts
-// {1, 2, 8}.
+// Tests for the staged OPTIMIZE pipeline: the stage sequence, the sharded
+// ANALYSIS surface, the sharded NORMALIZE reduction, and the headline
+// guarantee — optimized weights, sweep history, and test-length reports
+// bit-identical across thread counts {1, 2, 8}.
 
 #include "opt/pipeline.h"
 
-#include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -31,38 +29,14 @@ netlist make_test_circuit(std::uint64_t seed, std::size_t inputs = 10,
     return make_random_circuit(spec);
 }
 
-// --- stage contract ------------------------------------------------------
+// --- stage sequence ------------------------------------------------------
 
 TEST(pipeline, stage_sequence_matches_the_paper) {
-    const netlist nl = make_cascaded_comparator(1, "cmp4pipe");
-    const auto faults = generate_full_faults(nl);
-    cop_detect_estimator cop;
-    optimize_pipeline pipe(nl, faults, cop, uniform_weights(nl), {});
-
     const char* expected[] = {"ANALYSIS", "SORT",     "NORMALIZE",
                               "PREPARE",  "MINIMIZE", "SADDLE_ESCAPE"};
-    const auto stages = pipe.stages();
-    ASSERT_EQ(stages.size(), 6u);
-    for (std::size_t s = 0; s < stages.size(); ++s) {
-        EXPECT_STREQ(stages[s]->name(), expected[s]);
-        // Every stage declares its context contract.
-        EXPECT_GT(std::strlen(stages[s]->reads()), 0u) << expected[s];
-        EXPECT_GT(std::strlen(stages[s]->writes()), 0u) << expected[s];
-    }
-}
-
-TEST(pipeline, pipeline_run_equals_optimize_weights) {
-    const netlist nl = make_cascaded_comparator(2, "cmp8pipe");
-    const auto faults = generate_full_faults(nl);
-    cop_detect_estimator a;
-    const optimize_result via_wrapper =
-        optimize_weights(nl, faults, a, uniform_weights(nl));
-    cop_detect_estimator b;
-    optimize_pipeline pipe(nl, faults, b, uniform_weights(nl), {});
-    const optimize_result via_pipeline = pipe.run();
-    EXPECT_EQ(via_wrapper.weights, via_pipeline.weights);
-    EXPECT_EQ(via_wrapper.final_test_length, via_pipeline.final_test_length);
-    EXPECT_EQ(via_wrapper.analysis_calls, via_pipeline.analysis_calls);
+    ASSERT_EQ(optimize_stage_names.size(), 6u);
+    for (std::size_t s = 0; s < optimize_stage_names.size(); ++s)
+        EXPECT_EQ(optimize_stage_names[s], expected[s]);
 }
 
 // --- sharded ANALYSIS ----------------------------------------------------

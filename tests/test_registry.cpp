@@ -2,7 +2,9 @@
 // resolution, typed refusal codes, atomic hot reload (revision re-stamp,
 // cache orphaning, in-flight safety under a concurrent reloader), the
 // bounded-residency view LRU (1000 registrations under --max-views 32),
-// per-tenant quotas, and the registry section of the stats response.
+// per-tenant quotas, residency by handle (handle jobs, empty matrices and
+// evictions on registered circuits), and the registry section of the
+// stats response.
 
 #include "svc/registry.h"
 
@@ -110,13 +112,13 @@ std::string tiny_bench(unsigned width, const std::string& name) {
 
 TEST(registry, direct_register_resolve_and_lazy_residency) {
     batch_session session;
-    registry reg;
+    registry reg(session);
 
-    const auto made = reg.register_circuit(session, "t", "a",
-                                           make_cascaded_comparator(2, "a"));
-    // Lazy: a handle is reserved but nothing is compiled yet.
+    const auto made =
+        reg.register_circuit("t", "a", make_cascaded_comparator(2, "a"));
+    // Lazy: a handle is issued but nothing is compiled yet.
     EXPECT_FALSE(session.has_circuit(made.handle));
-    EXPECT_TRUE(reg.needs_compile("t/a"));
+    EXPECT_FALSE(reg.resolve("t/a").resident);
 
     const registry::resolution res = reg.resolve("t/a");
     EXPECT_TRUE(res.found);
@@ -124,9 +126,9 @@ TEST(registry, direct_register_resolve_and_lazy_residency) {
     EXPECT_EQ(res.handle, made.handle);
     EXPECT_FALSE(reg.resolve("t/missing").found);
 
-    reg.ensure_resident(session, "t/a");
+    reg.make_resident(made.handle);
     EXPECT_TRUE(session.has_circuit(made.handle));
-    EXPECT_FALSE(reg.needs_compile("t/a"));
+    EXPECT_TRUE(reg.resolve("t/a").resident);
     EXPECT_EQ(session.circuit(made.handle).revision(), made.revision);
 
     const auto rows = reg.list("");
@@ -144,26 +146,24 @@ TEST(registry, direct_register_resolve_and_lazy_residency) {
 
 TEST(registry, refusals_carry_typed_codes) {
     batch_session session;
-    registry reg;
-    reg.register_circuit(session, "t", "a", make_cascaded_comparator(2, "a"));
+    registry reg(session);
+    reg.register_circuit("t", "a", make_cascaded_comparator(2, "a"));
 
     try {
-        reg.register_circuit(session, "t", "a",
-                             make_cascaded_comparator(2, "a"));
+        reg.register_circuit("t", "a", make_cascaded_comparator(2, "a"));
         FAIL() << "duplicate registration must throw";
     } catch (const registry_error& e) {
         EXPECT_EQ(e.code(), "exists");
     }
     try {
-        reg.register_circuit(session, "bad/tenant", "x",
+        reg.register_circuit("bad/tenant", "x",
                              make_cascaded_comparator(2, "x"));
         FAIL() << "a '/' in the tenant must throw";
     } catch (const registry_error& e) {
         EXPECT_EQ(e.code(), "invalid");
     }
     try {
-        reg.reload_circuit(session, "t", "missing",
-                           make_cascaded_comparator(2, "m"));
+        reg.reload_circuit("t", "missing", make_cascaded_comparator(2, "m"));
         FAIL() << "reloading an unknown name must throw";
     } catch (const registry_error& e) {
         EXPECT_EQ(e.code(), "not-found");
@@ -282,8 +282,8 @@ TEST(registry, evicted_views_rebuild_and_revalidate_cached_results) {
     EXPECT_EQ(c.view_rebuilds, 2u);
     EXPECT_EQ(c.view_evictions, 1u);
 
-    // a's view rebuilds from the master copy, which shares the master's
-    // revision stamp — so the result cached before the eviction is STILL
+    // a's view rebuilds from the session's netlist, whose revision stamp
+    // survived the eviction — so the result cached before it is STILL
     // VALID and must hit.
     const response again = s.handle(make_named_length("t/a"));
     ASSERT_TRUE(again.ok);
@@ -332,6 +332,147 @@ TEST(registry, thousand_registrations_stay_within_max_views) {
     EXPECT_EQ(st.registry.max_views, 32u);
     EXPECT_EQ(st.registry.view_evictions, 32u);
     EXPECT_EQ(st.registry.view_rebuilds, 64u);
+}
+
+// --- residency by handle ----------------------------------------------------
+
+// The handle register_circuit returns is a full spelling of the circuit:
+// a job addressed by it compiles the view on first use and again after
+// the view LRU evicts it, exactly like a named job.
+
+request make_register_suite(const std::string& tenant, const std::string& name,
+                            const std::string& suite) {
+    request q;
+    register_circuit_request p;
+    p.tenant = tenant;
+    p.name = name;
+    p.suite = suite;
+    q.payload = std::move(p);
+    return q;
+}
+
+request make_handle_length(std::size_t handle) {
+    request q;
+    test_length_request p;
+    p.circuit = handle;
+    q.payload = std::move(p);
+    return q;
+}
+
+request make_evict(std::size_t handle) {
+    request q;
+    evict_request p;
+    p.all = false;
+    p.circuit = handle;
+    q.payload = p;
+    return q;
+}
+
+std::size_t registered_handle(const response& r) {
+    EXPECT_TRUE(r.ok);
+    return std::get<register_circuit_response>(r.payload).circuit;
+}
+
+service::options one_view() {
+    service::options so;
+    so.threads = 1;
+    so.max_views = 1;
+    return so;
+}
+
+TEST(registry, handle_job_compiles_a_registered_circuit) {
+    service s(one_view());
+    const std::size_t s1 =
+        registered_handle(s.handle(make_register_suite("t", "s1", "S1")));
+
+    const response by_handle = s.handle(make_handle_length(s1));
+    ASSERT_TRUE(by_handle.ok) << encode(by_handle);
+    const auto& rh = std::get<test_length_response>(by_handle.payload);
+    EXPECT_EQ(rh.circuit, s1);
+    EXPECT_FALSE(rh.cached);
+    EXPECT_TRUE(s.catalog().resolve("t/s1").resident);
+    EXPECT_EQ(s.catalog().stats().view_rebuilds, 1u);
+
+    // The named spelling shares the entry the handle job computed.
+    const response by_name = s.handle(make_named_length("t/s1"));
+    ASSERT_TRUE(by_name.ok);
+    EXPECT_TRUE(std::get<test_length_response>(by_name.payload).cached);
+}
+
+TEST(registry, empty_matrix_runs_every_entry_then_trims_the_views) {
+    service s(one_view());
+    const std::size_t s1 =
+        registered_handle(s.handle(make_register_suite("t", "s1", "S1")));
+    const std::size_t c432 =
+        registered_handle(s.handle(make_register_suite("t", "c432", "c432")));
+
+    request q;
+    matrix_request m;
+    m.kind = job_kind::test_length;
+    m.weight_sets.push_back({});
+    q.payload = m;
+    const response r = s.handle(q);
+    ASSERT_TRUE(r.ok);
+    const auto& results = std::get<matrix_response>(r.payload).results;
+    ASSERT_EQ(results.size(), 2u);
+    for (const response& e : results) ASSERT_TRUE(e.ok) << encode(e);
+    EXPECT_EQ(std::get<test_length_response>(results[0].payload).circuit, s1);
+    EXPECT_EQ(std::get<test_length_response>(results[1].payload).circuit, c432);
+
+    // Both views were resident while the batch ran; afterwards the LRU
+    // trimmed back to one.
+    const registry::counters c = s.catalog().stats();
+    EXPECT_EQ(c.view_rebuilds, 2u);
+    EXPECT_EQ(c.view_evictions, 1u);
+    EXPECT_EQ(c.resident, 1u);
+    EXPECT_EQ(s.session().circuit_count(), 1u);
+}
+
+TEST(registry, evicting_a_non_resident_handle_drops_its_cache_bucket) {
+    service s(one_view());
+    const std::size_t s1 =
+        registered_handle(s.handle(make_register_suite("t", "s1", "S1")));
+    // Never compiled: nothing cached, no engines, but a valid handle.
+    const response fresh = s.handle(make_evict(s1));
+    ASSERT_TRUE(fresh.ok) << encode(fresh);
+    EXPECT_EQ(std::get<evict_response>(fresh.payload).cache_entries, 0u);
+    EXPECT_EQ(std::get<evict_response>(fresh.payload).engines, 0u);
+
+    ASSERT_TRUE(s.handle(make_named_length("t/s1")).ok);
+    s.handle(make_register_suite("t", "c432", "c432"));
+    ASSERT_TRUE(s.handle(make_named_length("t/c432")).ok);  // evicts s1
+    ASSERT_FALSE(s.catalog().resolve("t/s1").resident);
+
+    const response ev = s.handle(make_evict(s1));
+    ASSERT_TRUE(ev.ok) << encode(ev);
+    EXPECT_EQ(std::get<evict_response>(ev.payload).cache_entries, 1u);
+    EXPECT_EQ(std::get<evict_response>(ev.payload).engines, 0u);
+    // The bucket is gone: the next job recomputes.
+    const response again = s.handle(make_handle_length(s1));
+    ASSERT_TRUE(again.ok);
+    EXPECT_FALSE(std::get<test_length_response>(again.payload).cached);
+
+    // A handle that names no entry is still refused.
+    EXPECT_FALSE(s.handle(make_evict(99)).ok);
+}
+
+TEST(registry, handle_job_after_view_eviction_hits_the_cache) {
+    service s(one_view());
+    const std::size_t s1 =
+        registered_handle(s.handle(make_register_suite("t", "s1", "S1")));
+    s.handle(make_register_suite("t", "c432", "c432"));
+
+    ASSERT_TRUE(s.handle(make_named_length("t/s1")).ok);
+    ASSERT_TRUE(s.handle(make_named_length("t/c432")).ok);  // evicts s1
+    ASSERT_FALSE(s.catalog().resolve("t/s1").resident);
+
+    const response r = s.handle(make_handle_length(s1));
+    ASSERT_TRUE(r.ok) << encode(r);
+    EXPECT_TRUE(std::get<test_length_response>(r.payload).cached);
+    const registry::counters c = s.catalog().stats();
+    EXPECT_EQ(c.view_rebuilds, 3u);
+    EXPECT_EQ(c.view_evictions, 2u);
+    EXPECT_EQ(c.resident, 1u);
 }
 
 // --- per-tenant quotas ------------------------------------------------------
