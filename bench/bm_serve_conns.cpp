@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +31,7 @@
 #include "svc/server.h"
 #include "svc/service.h"
 #include "svc/socket.h"
+#include "util/sync.h"
 
 namespace {
 
@@ -117,8 +117,8 @@ void bm_serve_conns(benchmark::State& state) {
     for (std::size_t i = 0; i < active; ++i)
         actives[i].connect(server.where(), 2000);
 
-    std::mutex latency_mutex;
-    std::vector<double> latencies_us;
+    wrpt::mutex latency_mutex;
+    std::vector<double> latencies_us;  // appended under latency_mutex
     for (auto _ : state) {
         std::vector<std::thread> threads;
         threads.reserve(active);
@@ -131,7 +131,7 @@ void bm_serve_conns(benchmark::State& state) {
                 const double us =
                     std::chrono::duration<double, std::micro>(t1 - t0)
                         .count();
-                std::scoped_lock lock(latency_mutex);
+                wrpt::lock_guard lock(latency_mutex);
                 latencies_us.push_back(us);
             });
         }

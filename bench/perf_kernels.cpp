@@ -14,7 +14,6 @@
 
 #include "bench_common.h"
 #include "core/simd.h"
-#include "exec/thread_pool.h"
 #include "fault/fault.h"
 #include "opt/normalize.h"
 #include "prob/signal_prob.h"
@@ -380,36 +379,23 @@ void bm_fault_sim_blocked(benchmark::State& state, const std::string& name,
         t_blocked > 0.0 ? t_one / t_blocked : 0.0;
 }
 
-/// Deterministic parallel fault SORT on `threads` pool workers vs the
-/// single-thread run — identical order either way (index tie-break).
-void bm_sort_faults_parallel(benchmark::State& state, std::size_t faults,
-                             unsigned threads) {
+/// Fault SORT (the radix pass) at S2's fault-list size and at 1M faults;
+/// ~3% undetectable (p == 0) entries exercise the exclusion scan.
+void bm_sort_faults(benchmark::State& state, std::size_t faults) {
     std::vector<double> probs(faults);
     std::uint64_t x = 0x9e3779b97f4a7c15ULL;  // deterministic fill
     for (std::size_t i = 0; i < faults; ++i) {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        // ~3% undetectable (p == 0) to exercise the exclusion scan.
         probs[i] = (x % 32 == 0) ? 0.0
                                  : static_cast<double>(x % 1000000) * 1e-9;
     }
-    normalize_exec exec;
-    exec.pool = &shared_thread_pool();
-    exec.threads = threads;
     for (auto _ : state) {
-        auto order = sort_faults(probs, exec);
+        auto order = sort_faults(probs);
         benchmark::DoNotOptimize(order.data());
     }
-    const int reps = 5;
-    normalize_exec seq;
-    const double t_one =
-        seconds_for([&] { sort_faults(probs, seq); }, reps);
-    const double t_par =
-        seconds_for([&] { sort_faults(probs, exec); }, reps);
-    state.counters["threads"] = static_cast<double>(threads);
     state.counters["faults"] = static_cast<double>(faults);
-    state.counters["speedup_vs_1t"] = t_par > 0.0 ? t_one / t_par : 0.0;
 }
 
 }  // namespace
@@ -493,7 +479,7 @@ BENCHMARK_CAPTURE(bm_serve_socket, S1_c8_uncached, std::string("S1"), 8,
 // The vectorized-kernel rows for BENCH_kernels.json: vector vs scalar
 // on the largest gen/ circuit (sharded) plus a deep ISCAS shape, the
 // NORMALIZE exp kernel at optimizer-scale term counts, blocked PPSFP at
-// 4 and 8 words, and the parallel SORT at 1/2/8 threads.
+// 4 and 8 words, and the radix SORT at 21k and 1M faults.
 BENCHMARK_CAPTURE(bm_cop_sweep_simd, sharded, std::string("sharded"))
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_cop_sweep_simd, c7552, std::string("c7552"))
@@ -506,12 +492,10 @@ BENCHMARK_CAPTURE(bm_fault_sim_blocked, sharded_1k_b4, std::string("sharded"),
 BENCHMARK_CAPTURE(bm_fault_sim_blocked, sharded_1k_b8, std::string("sharded"),
                   1024, 8)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(bm_sort_faults_parallel, f1m_t1, std::size_t{1} << 20, 1)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(bm_sort_faults_parallel, f1m_t2, std::size_t{1} << 20, 2)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK_CAPTURE(bm_sort_faults_parallel, f1m_t8, std::size_t{1} << 20, 8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(bm_sort_faults, f21k, std::size_t{21000})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(bm_sort_faults, f1m, std::size_t{1} << 20)
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_CAPTURE(bm_analysis, S1, std::string("S1"))
     ->Unit(benchmark::kMillisecond);

@@ -3,43 +3,41 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "util/error.h"
 
 namespace wrpt {
 namespace {
 
+/// Exponent N * p_f(y) of one objective term.
+double exponent(const affine_fault& f, double n, double y) {
+    return n * (f.p0 + y * (f.p1 - f.p0));
+}
+
 /// First and second derivative of J at y, scaled by exp(+min exponent) so
 /// that the signs and the Newton ratio stay meaningful even when every raw
-/// term underflows. d1/d2 are proportional to J' and J''.
+/// term underflows. d1/d2 are proportional to J' and J''. `dependent`
+/// holds the faults with d_f != 0; `flat_min` is the minimum exponent of
+/// the others (+inf if none), which is the same at every y >= 0.
 struct derivatives {
     double d1 = 0.0;
     double d2 = 0.0;
 };
 
-derivatives scaled_derivatives(std::span<const affine_fault> faults, double n,
-                               double y) {
-    double min_e = std::numeric_limits<double>::infinity();
-    for (const auto& f : faults) {
-        const double e = n * (f.p0 + y * (f.p1 - f.p0));
-        min_e = std::min(min_e, e);
-    }
+derivatives scaled_derivatives(std::span<const affine_fault> dependent,
+                               double flat_min, double n, double y) {
+    double min_e = flat_min;
+    for (const auto& f : dependent) min_e = std::min(min_e, exponent(f, n, y));
     derivatives der;
     if (!std::isfinite(min_e)) return der;
-    for (const auto& f : faults) {
+    for (const auto& f : dependent) {
         const double d = f.p1 - f.p0;
-        const double e = n * (f.p0 + y * d);
-        const double t = std::exp(-(e - min_e));
+        const double t = std::exp(-(exponent(f, n, y) - min_e));
         der.d1 += -n * d * t;
         der.d2 += n * n * d * d * t;
     }
     return der;
-}
-
-double objective_at(std::span<const affine_fault> faults, double n, double y) {
-    double j = 0.0;
-    for (const auto& f : faults) j += std::exp(-n * (f.p0 + y * (f.p1 - f.p0)));
-    return j;
 }
 
 }  // namespace
@@ -51,24 +49,29 @@ minimize_result minimize_single_input(std::span<const affine_fault> faults,
     require(n >= 0.0, "minimize_single_input: negative test length");
 
     minimize_result res;
-    bool any_dependence = false;
-    for (const auto& f : faults)
-        if (f.p1 != f.p0) any_dependence = true;
-    if (faults.empty() || !any_dependence || n == 0.0) {
+    std::vector<affine_fault> dependent;
+    double flat_min = std::numeric_limits<double>::infinity();
+    for (const auto& f : faults) {
+        if (f.p1 != f.p0)
+            dependent.push_back(f);
+        else
+            flat_min = std::min(flat_min, exponent(f, n, lo));
+    }
+    if (dependent.empty() || n == 0.0) {
         res.y = lo + (hi - lo) / 2.0;
-        res.objective = objective_at(faults, n, res.y);
         return res;
     }
+    const auto slope_at = [&](double y) {
+        return scaled_derivatives(dependent, flat_min, n, y);
+    };
 
     // Boundary minima: J is convex, so the sign of J' at the ends decides.
-    if (scaled_derivatives(faults, n, lo).d1 >= 0.0) {
+    if (slope_at(lo).d1 >= 0.0) {
         res.y = lo;
-        res.objective = objective_at(faults, n, lo);
         return res;
     }
-    if (scaled_derivatives(faults, n, hi).d1 <= 0.0) {
+    if (slope_at(hi).d1 <= 0.0) {
         res.y = hi;
-        res.objective = objective_at(faults, n, hi);
         return res;
     }
 
@@ -78,7 +81,7 @@ minimize_result minimize_single_input(std::span<const affine_fault> faults,
     double y = lo + (hi - lo) / 2.0;
     for (std::size_t it = 0; it < 200; ++it) {
         ++res.iterations;
-        const derivatives der = scaled_derivatives(faults, n, y);
+        const derivatives der = slope_at(y);
         if (der.d1 < 0.0)
             a = y;
         else
@@ -97,7 +100,6 @@ minimize_result minimize_single_input(std::span<const affine_fault> faults,
         y = next;
     }
     res.y = std::clamp(y, lo, hi);
-    res.objective = objective_at(faults, n, res.y);
     return res;
 }
 

@@ -22,15 +22,17 @@ struct affine_fault {
 };
 
 struct minimize_result {
-    double y = 0.5;          ///< arg min of J_N(X, y|i) over [lo, hi]
-    double objective = 0.0;  ///< J value at y (scaled; comparison only)
+    double y = 0.5;  ///< arg min of J_N(X, y|i) over [lo, hi]
     std::size_t iterations = 0;
 };
 
 /// Minimize J_N over y in [lo, hi] (0 <= lo < hi <= 1). n is the current
 /// test length estimate N. Strict convexity guarantees uniqueness whenever
 /// some fault depends on the input (d_f != 0); otherwise any y is optimal
-/// and the midpoint is returned.
+/// and the midpoint is returned. Only the dependent faults enter the
+/// Newton sums: a d_f = 0 term contributes exactly ±0 to both
+/// derivatives, and its exponent — constant in y — only joins the
+/// scaling minimum, folded in once per call.
 minimize_result minimize_single_input(std::span<const affine_fault> faults,
                                       double n, double lo, double hi);
 

@@ -1,11 +1,13 @@
 #include "opt/normalize.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "core/simd.h"
-#include "exec/parallel_sort.h"
 #include "exec/thread_pool.h"
 #include "util/error.h"
 
@@ -86,24 +88,42 @@ int compare_jm_to_q(term_window& w, double m, double q, std::size_t& z_out) {
 }  // namespace
 
 std::vector<std::size_t> sort_faults(std::span<const double> probs) {
-    return sort_faults(probs, normalize_exec{});
-}
-
-std::vector<std::size_t> sort_faults(std::span<const double> probs,
-                                     const normalize_exec& exec) {
     std::vector<std::size_t> order;
     order.reserve(probs.size());
     for (std::size_t i = 0; i < probs.size(); ++i)
         if (probs[i] > 0.0) order.push_back(i);
-    // The candidates are in ascending index order, so the index
-    // tie-break reproduces std::stable_sort exactly — on one thread or
-    // many.
-    parallel_stable_sort_indices(
-        order,
-        [&probs](std::size_t a, std::size_t b) {
-            return probs[a] < probs[b];
-        },
-        exec.pool, exec.threads);
+    const std::size_t n = order.size();
+    if (n == 0) return order;
+    const auto key = [&probs](std::size_t i) {
+        return std::bit_cast<std::uint64_t>(probs[i]);
+    };
+    // LSD radix sort on the IEEE-754 bits: for positive doubles the bit
+    // pattern read as an unsigned integer orders like the value, and each
+    // counting pass is stable, so ties keep ascending index order — the
+    // permutation std::stable_sort under `<` produces. One histogram
+    // pass counts every digit; a digit all keys share is skipped.
+    constexpr unsigned digit_bits = 11;
+    constexpr unsigned digits = (64 + digit_bits - 1) / digit_bits;
+    constexpr std::size_t radix = std::size_t{1} << digit_bits;
+    std::vector<std::size_t> hist(digits * radix, 0);
+    for (const std::size_t i : order) {
+        const std::uint64_t k = key(i);
+        for (unsigned d = 0; d < digits; ++d)
+            ++hist[d * radix + ((k >> (d * digit_bits)) & (radix - 1))];
+    }
+    std::vector<std::size_t> scratch(n);
+    for (unsigned d = 0; d < digits; ++d) {
+        std::size_t* const count = hist.data() + d * radix;
+        const std::uint64_t first =
+            (key(order.front()) >> (d * digit_bits)) & (radix - 1);
+        if (count[first] == n) continue;
+        std::size_t sum = 0;
+        for (std::size_t b = 0; b < radix; ++b)
+            sum += std::exchange(count[b], sum);
+        for (const std::size_t i : order)
+            scratch[count[(key(i) >> (d * digit_bits)) & (radix - 1)]++] = i;
+        order.swap(scratch);
+    }
     return order;
 }
 

@@ -31,17 +31,7 @@ cop_engine::cop_engine(const circuit_view& cv, weight_vector weights)
 }
 
 double cop_engine::fault_probability(const fault& f) const {
-    const circuit_view& cv = *cv_;
-    const node_id site =
-        f.is_stem() ? f.where
-                    : cv.fanins(f.where)[static_cast<std::size_t>(f.pin)];
-    // Activation: the line must carry the opposite of the stuck value.
-    const double act = stuck_value(f.value) ? 1.0 - p_[site] : p_[site];
-    const double o =
-        f.is_stem() ? stem_[f.where]
-                    : pin_[cv.pin_offset(f.where) +
-                           static_cast<std::size_t>(f.pin)];
-    return act * o;
+    return cop::fault_probability(*cv_, p_, stem_, pin_, f);
 }
 
 void cop_engine::schedule(node_id n) {

@@ -1,10 +1,16 @@
-// Incremental COP testability engine — the optimizer's PREPARE fast path.
+// Incremental COP testability engine — PREPARE's path on circuits with
+// small input cones.
 //
 // The paper's efficiency accounting says one coordinate step costs "two
 // testability analyses per input"; with a full recompute each analysis is
 // O(nodes). This engine keeps the complete COP state (signal
 // probabilities, stem and pin observabilities) for one weight vector and
-// re-propagates a single-input change incrementally:
+// re-propagates a single-input change incrementally. That wins only while
+// input cones are small: cop_detect_estimator rides the engine when the
+// mean cone fraction is at most its cone limit (0.15 by default; S1 and
+// c2670 in the suite) and otherwise takes the full-recompute path — one
+// vectorized forward sweep plus a backward sweep over the fanout region
+// of the queried faults (S2 and c7552; see detect.h). The engine works:
 //
 //   forward   — restricted to the input's precomputed fanout cone (exact:
 //               nothing outside the cone can change),

@@ -2,11 +2,11 @@
 // primitives behind the full forward/backward analyses and the optimizer's
 // incremental engine.
 //
-// Both the full sweeps (cop_signal_probabilities, cop_observabilities) and
-// the event-driven incremental updates (cop_engine) evaluate exactly these
-// functions, in the same per-gate argument order, so an incremental update
-// is bit-identical to a full recompute — the equivalence the optimizer's
-// PREPARE fast path rests on.
+// The full sweeps (cop_signal_probabilities, cop_observabilities), the
+// fanout-region backward sweep of cop_detect_estimator's full-recompute
+// path and the event-driven incremental updates (cop_engine) all evaluate
+// exactly these functions, in the same per-gate argument order, so every
+// PREPARE path is bit-identical to a full recompute.
 
 #pragma once
 
@@ -14,6 +14,7 @@
 
 #include "core/circuit_view.h"
 #include "core/gate_eval.h"
+#include "fault/fault.h"
 
 namespace wrpt::cop {
 
@@ -88,21 +89,45 @@ inline double stem_observability(const circuit_view& cv,
     return 1.0 - miss;
 }
 
-/// Chain observabilities backward over the whole view: stem[n] from the
-/// consumers' pins, then pin[pin_offset(n)+k] = stem[n] * sens(n, k).
-/// `sens(n, k)` supplies the one-level pin sensitization — analytic
-/// (pin_sensitization) for COP, counted for STAFAN. stem/pin must be
+/// COP detection probability of fault `f`: activation (the line carries
+/// the opposite of the stuck value) times line observability, read from
+/// a state whose p/stem/pin cover the fault.
+inline double fault_probability(const circuit_view& cv,
+                                std::span<const double> p,
+                                std::span<const double> stem,
+                                std::span<const double> pin, const fault& f) {
+    const node_id site =
+        f.is_stem() ? f.where
+                    : cv.fanins(f.where)[static_cast<std::size_t>(f.pin)];
+    const double act = stuck_value(f.value) ? 1.0 - p[site] : p[site];
+    const double o =
+        f.is_stem()
+            ? stem[f.where]
+            : pin[cv.pin_offset(f.where) + static_cast<std::size_t>(f.pin)];
+    return act * o;
+}
+
+/// One backward step at node `n`: stem[n] from the consumers' pins, then
+/// pin[pin_offset(n)+k] = stem[n] * sens(n, k). `sens(n, k)` supplies the
+/// one-level pin sensitization — analytic (pin_sensitization) for COP,
+/// counted for STAFAN. Every consumer of `n` must have been chained
+/// already (consumers have larger ids).
+template <class PinSens>
+void chain_node(const circuit_view& cv, PinSens&& sens, std::span<double> stem,
+                std::span<double> pin, node_id n) {
+    stem[n] = stem_observability(cv, pin, n);
+    const std::size_t arity = cv.fanin_count(n);
+    const std::uint32_t off = cv.pin_offset(n);
+    for (std::size_t k = 0; k < arity; ++k)
+        pin[off + k] = stem[n] * sens(n, k);
+}
+
+/// Chain observabilities backward over the whole view. stem/pin must be
 /// sized node_count()/pin_count().
 template <class PinSens>
 void chain_observabilities(const circuit_view& cv, PinSens&& sens,
                            std::span<double> stem, std::span<double> pin) {
-    backward_sweep(cv, [&](node_id n) {
-        stem[n] = stem_observability(cv, pin, n);
-        const std::size_t arity = cv.fanin_count(n);
-        const std::uint32_t off = cv.pin_offset(n);
-        for (std::size_t k = 0; k < arity; ++k)
-            pin[off + k] = stem[n] * sens(n, k);
-    });
+    backward_sweep(cv, [&](node_id n) { chain_node(cv, sens, stem, pin, n); });
 }
 
 }  // namespace wrpt::cop

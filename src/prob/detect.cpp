@@ -9,7 +9,7 @@
 #include "exec/engine_pool.h"
 #include "exec/thread_pool.h"
 #include "prob/cop_engine.h"
-#include "prob/observability.h"
+#include "prob/cop_rules.h"
 #include "prob/signal_prob.h"
 #include "prob/stafan.h"
 #include "sim/logic_sim.h"
@@ -85,6 +85,52 @@ std::vector<double> cop_detect_estimator::read_faults(
     return out;
 }
 
+const circuit_view& cop_detect_estimator::mark_region(
+    const netlist& nl, std::span<const fault> faults) {
+    const circuit_view& cv = ensure_view(nl, false);
+    region_scratch& s = full_;
+    const std::size_t n = cv.node_count();
+    s.p.resize(n);
+    s.stem.resize(n);
+    s.pin.resize(cv.pin_count());
+    s.mark.assign(n, 0);
+    // R(F): every fault site and its transitive fanout. `region` serves
+    // as the traversal stack first, then holds R in descending node id —
+    // the backward sweep's order restricted to R.
+    s.region.clear();
+    for (const fault& f : faults) {
+        if (s.mark[f.where]) continue;
+        s.mark[f.where] = 1;
+        s.region.push_back(f.where);
+    }
+    while (!s.region.empty()) {
+        const node_id m = s.region.back();
+        s.region.pop_back();
+        for (const node_id c : cv.fanouts(m)) {
+            if (s.mark[c]) continue;
+            s.mark[c] = 1;
+            s.region.push_back(c);
+        }
+    }
+    for (node_id m = static_cast<node_id>(n); m-- > 0;)
+        if (s.mark[m]) s.region.push_back(m);
+    return cv;
+}
+
+void cop_detect_estimator::sweep_region(const circuit_view& cv,
+                                        std::span<const double> weights) {
+    // R is closed under fanout, so every pin a stem in R folds over was
+    // chained earlier in this sweep, by the same cop_rules calls in the
+    // same order as the full backward sweep: R's values are bit-identical
+    // to the full analysis.
+    region_scratch& s = full_;
+    cop_signal_probabilities(cv, weights, s.p);
+    const auto sens = [&](node_id n, std::size_t k) {
+        return cop::pin_sensitization(cv, s.p, n, k);
+    };
+    for (const node_id n : s.region) cop::chain_node(cv, sens, s.stem, s.pin, n);
+}
+
 std::vector<double> cop_detect_estimator::estimate(
     const netlist& nl, const std::vector<fault>& faults,
     const weight_vector& weights) {
@@ -100,26 +146,18 @@ std::vector<double> cop_detect_estimator::estimate_faults(
                   ? std::max(1u, std::thread::hardware_concurrency())
                   : threads;
     if (!engine_applies(nl)) {
-        // Full-recompute path (the benchmark baseline, and the fast path
-        // for circuits with near-global cones): both testability sweeps
-        // re-run per call over the cached view; the per-fault read shards
-        // over the pool (each fault's value is a pure function of the
-        // shared sweeps, so the output is index-keyed and thread-count
-        // independent).
+        // Full-recompute path (the fast path for circuits with
+        // near-global cones): one sweep over the cached view; the
+        // per-fault read shards over the pool (each fault's value is a
+        // pure function of the shared sweep, so the output is
+        // index-keyed and thread-count independent).
         ++stats_.full_estimates;
-        const circuit_view& cv = ensure_view(nl, false);
-        const std::vector<double> p = cop_signal_probabilities(cv, weights);
-        const observability_result obs = cop_observabilities(cv, p);
+        const circuit_view& cv = mark_region(nl, faults);
+        sweep_region(cv, weights);
         std::vector<double> out(faults.size());
         const auto read_one = [&](std::size_t j) {
-            const fault& f = faults[j];
-            const node_id site = fault_site_driver(nl, f);
-            const double act = stuck_value(f.value) ? 1.0 - p[site] : p[site];
-            const double o =
-                f.is_stem()
-                    ? obs.stem[f.where]
-                    : obs.pin_obs(f.where, static_cast<std::size_t>(f.pin));
-            out[j] = act * o;
+            out[j] = cop::fault_probability(cv, full_.p, full_.stem,
+                                            full_.pin, faults[j]);
         };
         if (threads <= 1 || faults.size() < 2) {
             for (std::size_t j = 0; j < faults.size(); ++j) read_one(j);
@@ -159,12 +197,28 @@ std::vector<double> cop_detect_estimator::estimate_faults(
 std::vector<std::vector<double>> cop_detect_estimator::estimate_probes(
     const netlist& nl, const std::vector<fault>& faults,
     const weight_vector& base, std::span<const probe> probes) {
-    if (!engine_applies(nl)) {
-        // The default loops over estimate(), whose full-recompute path
-        // counts each call in stats_.full_estimates already.
-        return detect_estimator::estimate_probes(nl, faults, base, probes);
-    }
     std::vector<std::vector<double>> out(probes.size());
+    if (!engine_applies(nl)) {
+        // Full-recompute path: R(F) is marked once for the whole batch;
+        // each probe moves its inputs in the scratch weights, sweeps,
+        // reads, and moves them back.
+        require(base.size() == nl.input_count(),
+                "cop estimator: weight count mismatch");
+        stats_.full_estimates += probes.size();
+        const circuit_view& cv = mark_region(nl, faults);
+        weight_vector& w = full_.weights;
+        w.assign(base.begin(), base.end());
+        for (std::size_t k = 0; k < probes.size(); ++k) {
+            for (const input_move& m : probes[k]) w[m.input] = m.value;
+            sweep_region(cv, w);
+            out[k].resize(faults.size());
+            for (std::size_t j = 0; j < faults.size(); ++j)
+                out[k][j] = cop::fault_probability(cv, full_.p, full_.stem,
+                                                   full_.pin, faults[j]);
+            for (const input_move& m : probes[k]) w[m.input] = base[m.input];
+        }
+        return out;
+    }
     unsigned threads = threads_ == 0
                            ? std::max(1u, std::thread::hardware_concurrency())
                            : threads_;

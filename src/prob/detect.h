@@ -84,12 +84,17 @@ public:
 
 /// Analytic estimator: p_f = P(site carries the error value) * obs(line).
 ///
-/// Keeps a compiled circuit_view and an engine_pool of incremental
-/// cop_engines for the last netlist, so PREPARE's single-input probes
-/// cost O(fanout cone of the input) instead of O(nodes) — see
-/// cop_engine.h — and sharded ANALYSIS reads fault shards on concurrent
-/// pool engines. The pool can also be adopted from outside
-/// (batch_session keeps one warm per circuit across run() calls).
+/// Keeps a compiled circuit_view for the last netlist and answers on one
+/// of two paths. Circuits with small input cones ride an engine_pool of
+/// incremental cop_engines, so PREPARE's single-input probes cost
+/// O(fanout cone of the input) — see cop_engine.h — and sharded ANALYSIS
+/// reads fault shards on concurrent pool engines; the pool can also be
+/// adopted from outside (batch_session keeps one warm per circuit across
+/// run() calls). Circuits with near-global cones take the full-recompute
+/// path: per weight vector one vectorized forward sweep over the whole
+/// view, then the backward sweep over R(F) only — the fanout closure of
+/// the queried fault sites, marked once per call and reused by every
+/// probe — into scratch buffers the estimator owns.
 class cop_detect_estimator final : public detect_estimator {
 public:
     cop_detect_estimator();
@@ -125,7 +130,7 @@ public:
     void set_threads(unsigned threads) override { threads_ = threads; }
 
     /// Disable the incremental path (full recompute per query) — the
-    /// benchmark baseline for the PREPARE speedup.
+    /// benchmark baseline for the incremental engine.
     void set_incremental(bool on) { incremental_ = on; }
 
     /// Cost counters (cumulative since construction). The optimizer's
@@ -137,7 +142,7 @@ public:
         std::size_t engine_builds = 0;   ///< full cop_engine analyses
         std::size_t engine_probes = 0;   ///< probes answered incrementally
         std::size_t batched_moves = 0;   ///< multi-input transactions
-        std::size_t full_estimates = 0;  ///< full-recompute estimate() calls
+        std::size_t full_estimates = 0;  ///< full-recompute weight vectors
         std::size_t pool_hits = 0;       ///< checkouts served warm
         std::size_t pool_misses = 0;     ///< checkouts that built an engine
     };
@@ -180,6 +185,12 @@ private:
     }
     std::vector<double> read_faults(const class cop_engine& engine,
                                     std::span<const fault> faults) const;
+    /// Full-recompute path: mark R(`faults`) and size the scratch.
+    const class circuit_view& mark_region(const netlist& nl,
+                                          std::span<const fault> faults);
+    /// Full-recompute path: forward sweep at `weights`, backward over R.
+    void sweep_region(const class circuit_view& cv,
+                      std::span<const double> weights);
 
     bool incremental_ = true;
     unsigned threads_ = 1;
@@ -194,6 +205,19 @@ private:
     // across estimator lifetimes; otherwise the estimator grows its own.
     class engine_pool* shared_pool_ = nullptr;
     std::unique_ptr<class engine_pool> own_pool_;
+    // Full-recompute scratch, reused across calls: signal probabilities
+    // of every node, observabilities (valid on R only; the backward sweep
+    // never reads outside R, which is closed under fanout), R in
+    // descending node id, its membership marks, and the probe weights.
+    struct region_scratch {
+        std::vector<double> p;
+        std::vector<double> stem;
+        std::vector<double> pin;
+        std::vector<node_id> region;
+        std::vector<std::uint8_t> mark;
+        weight_vector weights;
+    };
+    region_scratch full_;
     counters stats_;
 };
 

@@ -11,9 +11,18 @@ namespace wrpt {
 
 std::vector<double> cop_signal_probabilities(const circuit_view& cv,
                                              const weight_vector& weights) {
+    std::vector<double> p(cv.node_count(), 0.0);
+    cop_signal_probabilities(cv, weights, p);
+    return p;
+}
+
+void cop_signal_probabilities(const circuit_view& cv,
+                              std::span<const double> weights,
+                              std::span<double> p) {
     require(weights.size() == cv.input_count(),
             "cop_signal_probabilities: weight count mismatch");
-    std::vector<double> p(cv.node_count(), 0.0);
+    require(p.size() == cv.node_count(),
+            "cop_signal_probabilities: output size mismatch");
     // Lane-blocked sweep when the view precompiled lane groups and a
     // vector ISA is active; the scalar forward sweep is the reference
     // (and the fallback), bit-identical by construction.
@@ -22,7 +31,6 @@ std::vector<double> cop_signal_probabilities(const circuit_view& cv,
             p[n] = cop::node_probability(cv, p, weights, n);
         });
     }
-    return p;
 }
 
 std::vector<double> cop_signal_probabilities(const netlist& nl,

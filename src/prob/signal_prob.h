@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/circuit_view.h"
@@ -26,6 +27,12 @@ std::vector<double> cop_signal_probabilities(const netlist& nl,
 /// netlist overload compiles a throwaway view).
 std::vector<double> cop_signal_probabilities(const circuit_view& cv,
                                              const weight_vector& weights);
+
+/// Same forward sweep into a caller-owned buffer (size node_count; every
+/// entry is written), for callers that sweep repeatedly.
+void cop_signal_probabilities(const circuit_view& cv,
+                              std::span<const double> weights,
+                              std::span<double> p);
 
 /// Exact signal probabilities by brute-force weighted enumeration over all
 /// 2^inputs patterns. Test oracle for small circuits only (inputs <= 24).

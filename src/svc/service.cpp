@@ -330,16 +330,15 @@ std::string validate_options(const fault_sim_request&) { return {}; }
 
 }  // namespace
 
-bool service::resolve_jobs(std::uint64_t id, std::vector<job_request>& jobs,
+void service::resolve_jobs(std::uint64_t id, std::vector<job_request>& jobs,
                            std::vector<response>& out) const {
-    bool cold = false;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         std::visit(
             [&](auto& p) {
                 if (p.name.empty()) {
-                    // Unknown handles are left to validate().
-                    const registry::resolution r = registry_.resolve(p.circuit);
-                    cold |= r.found && !r.resident;
+                    // Only the LRU stamp; unknown handles are left to
+                    // validate().
+                    (void)registry_.resolve(p.circuit);
                     return;
                 }
                 const registry::resolution r = registry_.resolve(p.name);
@@ -352,17 +351,15 @@ bool service::resolve_jobs(std::uint64_t id, std::vector<job_request>& jobs,
                 // cache fingerprint is shared with handle-addressed queries.
                 p.circuit = r.handle;
                 p.name.clear();
-                cold |= !r.resident;
             },
             jobs[i]);
     }
-    return cold;
 }
 
 std::string service::validate(const job_request& j) const {
     const std::size_t handle =
         std::visit([](const auto& p) { return p.circuit; }, j);
-    if (!session_->has_circuit(handle))
+    if (!session_->has_entry(handle))
         return "bad circuit handle " + std::to_string(handle);
     const weight_vector& weights = std::visit(
         [](const auto& p) -> const weight_vector& { return p.weights; }, j);
@@ -629,67 +626,99 @@ response service::handle_matrix(std::uint64_t id, const matrix_request& p) {
 std::vector<response> service::run_jobs(std::uint64_t id,
                                         std::vector<job_request> jobs) {
     std::vector<response> out(jobs.size());
-    // Shared session lock for the whole batch: the circuit table stays
-    // stable under us while concurrent batches from other connections
-    // proceed in parallel (only load/register/reload exclude). Names
-    // resolve once, here; unknown ones answer with typed errors.
+    std::vector<cache_locator> keys(jobs.size());
+    std::vector<std::size_t> pending;
+    const auto handle_of = [&jobs](std::size_t i) {
+        return std::visit([](const auto& p) { return p.circuit; }, jobs[i]);
+    };
+    // Shared session lock: the circuit table stays stable under us while
+    // concurrent batches from other connections proceed in parallel (only
+    // load/register/reload exclude). Names resolve once, here; unknown
+    // ones answer with typed errors. The cache needs only the entries'
+    // netlists, so hits answer here even when their view is evicted.
     {
         read_lock session_lock(session_mutex_);
-        if (!resolve_jobs(id, jobs, out)) {
-            run_jobs_locked(id, jobs, out);
+        resolve_jobs(id, jobs, out);
+        pending = probe_jobs(id, jobs, out, keys);
+        bool cold = false;
+        for (const std::size_t i : pending)
+            cold |= !session_->has_circuit(handle_of(i));
+        if (!cold) {
+            compute_jobs(id, jobs, out, keys, pending);
             return out;
         }
     }
-    // Some circuit needs its view compiled (first use, or evicted by the
-    // max_views LRU): take the session lock exclusively for the whole
-    // batch, so every view it needs stays resident until it has answered;
-    // the LRU then trims back to max_views. Resolved handles stay valid
-    // across the upgrade: entries are never removed.
+    // Some miss needs its view compiled (first use, or evicted by the
+    // max_views LRU): take the session lock exclusively for the rest of
+    // the batch, so every view it needs stays resident until it has
+    // answered; the LRU then trims back to max_views. Entries are never
+    // removed, but a reload in the unlocked gap may have re-stamped one,
+    // so the misses are validated and keyed again (a job that no longer
+    // validates already counted a probe, so it counts a miss).
     write_lock session_lock(session_mutex_);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::size_t h =
-            std::visit([](const auto& p) { return p.circuit; }, jobs[i]);
-        if (out[i].ok && session_->has_entry(h)) registry_.make_resident(h);
+    std::size_t kept = 0;
+    for (const std::size_t i : pending) {
+        if (std::string msg = validate(jobs[i]); !msg.empty()) {
+            out[i] = make_error(id, msg);
+            lock_guard cache_lock(cache_mutex_);
+            ++cache_misses_;
+            continue;
+        }
+        keys[i] = key_of(jobs[i]);
+        registry_.make_resident(handle_of(i));
+        pending[kept++] = i;
     }
-    run_jobs_locked(id, jobs, out);
+    pending.resize(kept);
+    compute_jobs(id, jobs, out, keys, pending);
     registry_.trim();
     return out;
 }
 
-void service::run_jobs_locked(std::uint64_t id, std::vector<job_request>& jobs,
-                              std::vector<response>& out) {
-    std::vector<cache_locator> keys(jobs.size());
-    // Validate and probe the cache up front; only distinct cache misses
-    // go to the session (duplicate keys within one batch compute once and
-    // fan the result out), and they still run concurrently as one batch.
-    // Duplicates are detected on (circuit, fingerprint) — the revision is
-    // fixed per handle within the batch (the shared session lock is held).
-    // Keyed by (handle, fingerprint string) and local to one batch —
-    // ordered std::map, not the integer-keyed dense_map.
-    std::map<std::pair<std::size_t, std::string>,  // wrpt-lint: allow(dense-map)
-             std::size_t>
-        leaders;  // key -> slot in to_run
-    std::vector<std::vector<std::size_t>> owners;  // per slot: job indices
-    std::vector<job_request> to_run;
+std::vector<std::size_t> service::probe_jobs(std::uint64_t id,
+                                             std::vector<job_request>& jobs,
+                                             std::vector<response>& out,
+                                             std::vector<cache_locator>& keys) {
+    std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         if (!out[i].ok) continue;  // unknown name, answered by resolve_jobs
-        job_request& j = jobs[i];
-        if (std::string msg = validate(j); !msg.empty()) {
+        if (std::string msg = validate(jobs[i]); !msg.empty()) {
             out[i] = make_error(id, msg);
             continue;
         }
-        keys[i] = key_of(j);
+        keys[i] = key_of(jobs[i]);
         lock_guard cache_lock(cache_mutex_);
         if (const cache_entry* hit = probe_cached(keys[i])) {
             ++cache_hits_;
             out[i] = to_response(id, hit->result, true);
             continue;
         }
+        pending.push_back(i);
+    }
+    return pending;
+}
+
+void service::compute_jobs(std::uint64_t id, std::vector<job_request>& jobs,
+                           std::vector<response>& out,
+                           const std::vector<cache_locator>& keys,
+                           const std::vector<std::size_t>& pending) {
+    // Only distinct misses go to the session (duplicate keys within one
+    // batch compute once and fan the result out), and they still run
+    // concurrently as one batch. Duplicates are detected on (circuit,
+    // fingerprint) — the revision is fixed per handle within the batch
+    // (the session lock is held). Keyed by (handle, fingerprint string)
+    // and local to one batch — ordered std::map, not the integer-keyed
+    // dense_map.
+    std::map<std::pair<std::size_t, std::string>,  // wrpt-lint: allow(dense-map)
+             std::size_t>
+        leaders;  // key -> slot in to_run
+    std::vector<std::vector<std::size_t>> owners;  // per slot: job indices
+    std::vector<job_request> to_run;
+    for (const std::size_t i : pending) {
         const auto [slot, fresh] = leaders.try_emplace(
             std::make_pair(keys[i].circuit, keys[i].fingerprint),
             to_run.size());
         if (fresh) {
-            to_run.push_back(std::move(j));
+            to_run.push_back(std::move(jobs[i]));
             owners.push_back({i});
         } else {
             owners[slot->second].push_back(i);

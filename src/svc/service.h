@@ -36,10 +36,12 @@
 // address a circuit as "tenant/name" or by its handle — interchangeable
 // spellings: the name is resolved once, under the session lock, and
 // rewritten away before the cache fingerprint is built, so both share an
-// entry. A batch whose circuits are all resident runs under the shared
-// lock; one that needs a compile (lazy residency, or a view evicted by
-// the --max-views LRU) takes the lock exclusively for the batch, and the
-// LRU trims back to max_views once it has answered.
+// entry. A batch validates its jobs and probes the result cache under
+// the shared lock, resident or not; when every miss is on a resident
+// circuit it computes there too. Misses that need a compile (lazy
+// residency, or a view evicted by the --max-views LRU) take the lock
+// exclusively for the rest of the batch, and the LRU trims back to
+// max_views once it has answered.
 //
 // Concurrency: handle() is safe to call from many threads at once — the
 // contract the socket daemon (svc/server.h) runs one session per
@@ -186,22 +188,34 @@ private:
     /// concurrently through the session. responses[i] answers jobs[i].
     std::vector<response> run_jobs(std::uint64_t id,
                                    std::vector<job_request> jobs);
-    /// The run_jobs body over resolved jobs; out[i] already holds the
-    /// answer for every job resolve_jobs refused.
-    void run_jobs_locked(std::uint64_t id, std::vector<job_request>& jobs,
-                         std::vector<response>& out)
+    /// Validate every resolved job and answer the cache hits; returns the
+    /// indices of the misses left to compute, with their keys in keys[i].
+    /// out[i] already holds the answer for every job resolve_jobs
+    /// refused. Needs the entries only, not their views.
+    std::vector<std::size_t> probe_jobs(std::uint64_t id,
+                                        std::vector<job_request>& jobs,
+                                        std::vector<response>& out,
+                                        std::vector<cache_locator>& keys)
+        WRPT_REQUIRES_SHARED(session_mutex_);
+    /// Run the `pending` misses concurrently through the session (one
+    /// computation per distinct key), cache and answer them. Every
+    /// pending job's circuit must be resident.
+    void compute_jobs(std::uint64_t id, std::vector<job_request>& jobs,
+                      std::vector<response>& out,
+                      const std::vector<cache_locator>& keys,
+                      const std::vector<std::size_t>& pending)
         WRPT_REQUIRES_SHARED(session_mutex_);
 
     /// Resolve every job's circuit through the registry, rewriting a name
     /// to its handle in place — the name is cleared, so named and handle
     /// spellings of the same query share one cache fingerprint. Unknown
-    /// names get a typed "not-found" envelope in out[i]. Returns true
-    /// when some known circuit is not resident.
-    bool resolve_jobs(std::uint64_t id, std::vector<job_request>& jobs,
+    /// names get a typed "not-found" envelope in out[i].
+    void resolve_jobs(std::uint64_t id, std::vector<job_request>& jobs,
                       std::vector<response>& out) const
         WRPT_REQUIRES_SHARED(session_mutex_);
-    /// Validate a job against the session (handle range, weight values);
-    /// returns a non-empty message on failure.
+    /// Validate a job against the session's entries, resident or not
+    /// (handle range, weight count against the entry's netlist, weight
+    /// values); returns a non-empty message on failure.
     std::string validate(const job_request& j) const
         WRPT_REQUIRES_SHARED(session_mutex_);
     cache_locator key_of(const job_request& j) const

@@ -41,7 +41,7 @@ rule)
 repo)
     ROOT=$(CDPATH= cd -- "$HERE/../.." && pwd)
     cd "$ROOT" || fail "cannot cd to repo root"
-    OUT=$("$BIN" src tools tests)
+    OUT=$("$BIN" src tools tests bench)
     STATUS=$?
     [ "$STATUS" -eq 0 ] || fail "repo scan: expected exit 0, got $STATUS
 $OUT"

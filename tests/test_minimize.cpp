@@ -3,7 +3,11 @@
 
 #include "opt/minimize.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,6 +120,111 @@ TEST(minimize, rejects_bad_interval) {
     EXPECT_THROW(minimize_single_input(faults, 10.0, 0.9, 0.1), invalid_input);
     EXPECT_THROW(minimize_single_input(faults, 10.0, -0.1, 0.5), invalid_input);
     EXPECT_THROW(minimize_single_input(faults, -5.0, 0.1, 0.9), invalid_input);
+}
+
+// --- bit identity with the all-faults Newton --------------------------------
+//
+// The Newton sums run over the dependent faults (d_f != 0) only, with the
+// flat faults' minimum exponent folded in once. This is the all-faults
+// iteration it replaced, kept verbatim as the oracle: the step must land
+// on the same y, bit for bit, in the same number of iterations.
+
+struct reference_result {
+    double y = 0.5;
+    std::size_t iterations = 0;
+};
+
+void reference_derivatives(const std::vector<affine_fault>& faults, double n,
+                           double y, double& d1, double& d2) {
+    double min_e = std::numeric_limits<double>::infinity();
+    for (const auto& f : faults) {
+        const double e = n * (f.p0 + y * (f.p1 - f.p0));
+        min_e = std::min(min_e, e);
+    }
+    d1 = 0.0;
+    d2 = 0.0;
+    if (!std::isfinite(min_e)) return;
+    for (const auto& f : faults) {
+        const double d = f.p1 - f.p0;
+        const double e = n * (f.p0 + y * d);
+        const double t = std::exp(-(e - min_e));
+        d1 += -n * d * t;
+        d2 += n * n * d * d * t;
+    }
+}
+
+reference_result reference_minimize(const std::vector<affine_fault>& faults,
+                                    double n, double lo, double hi) {
+    reference_result res;
+    bool any_dependence = false;
+    for (const auto& f : faults)
+        if (f.p1 != f.p0) any_dependence = true;
+    if (faults.empty() || !any_dependence || n == 0.0) {
+        res.y = lo + (hi - lo) / 2.0;
+        return res;
+    }
+    double d1, d2;
+    reference_derivatives(faults, n, lo, d1, d2);
+    if (d1 >= 0.0) {
+        res.y = lo;
+        return res;
+    }
+    reference_derivatives(faults, n, hi, d1, d2);
+    if (d1 <= 0.0) {
+        res.y = hi;
+        return res;
+    }
+    double a = lo, b = hi;
+    double y = lo + (hi - lo) / 2.0;
+    for (std::size_t it = 0; it < 200; ++it) {
+        ++res.iterations;
+        reference_derivatives(faults, n, y, d1, d2);
+        if (d1 < 0.0)
+            a = y;
+        else
+            b = y;
+        double next;
+        if (d2 > 0.0 && std::isfinite(d1)) {
+            next = y - d1 / d2;
+            if (!(next > a && next < b)) next = a + (b - a) / 2.0;
+        } else {
+            next = a + (b - a) / 2.0;
+        }
+        if (std::abs(next - y) < 1e-12 || (b - a) < 1e-10) {
+            y = next;
+            break;
+        }
+        y = next;
+    }
+    res.y = std::clamp(y, lo, hi);
+    return res;
+}
+
+TEST(minimize, bit_identical_to_the_all_faults_newton) {
+    rng r(0xd0d0);
+    for (int trial = 0; trial < 400; ++trial) {
+        // Mostly flat rows (d = 0) around a few dependent ones; every
+        // fourth trial at an N where every raw term underflows.
+        const std::size_t count = 1 + r.next_below(60);
+        const double flat_share = 0.2 + 0.75 * r.next_double();
+        const double scale = (trial % 4 == 3) ? 1e9 : 500.0 + 5e4 * r.next_double();
+        std::vector<affine_fault> faults;
+        for (std::size_t i = 0; i < count; ++i) {
+            const double p0 = 1e-3 * r.next_double();
+            if (r.next_double() < flat_share)
+                faults.push_back({p0, p0});
+            else
+                faults.push_back({p0, 1e-3 * r.next_double()});
+        }
+        const double lo = 0.05 * r.next_double();
+        const double hi = 0.95 + 0.05 * r.next_double();
+        const reference_result want = reference_minimize(faults, scale, lo, hi);
+        const minimize_result got = minimize_single_input(faults, scale, lo, hi);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(want.y),
+                  std::bit_cast<std::uint64_t>(got.y))
+            << "trial " << trial << ": " << want.y << " vs " << got.y;
+        ASSERT_EQ(want.iterations, got.iterations) << "trial " << trial;
+    }
 }
 
 }  // namespace

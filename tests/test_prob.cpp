@@ -3,15 +3,19 @@
 // probability estimators against ground truth.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "fault/fault.h"
 #include "gen/random_circuit.h"
+#include "gen/suite.h"
 #include "gen/wordlib.h"
 #include "prob/cutting.h"
 #include "prob/detect.h"
+#include "prob/probe.h"
 #include "prob/observability.h"
 #include "prob/redundancy.h"
 #include "prob/signal_prob.h"
@@ -352,6 +356,122 @@ TEST(redundancy, never_flags_detectable_faults) {
         if (truth[i] == 0.0) {
             EXPECT_TRUE(red[i]) << to_string(nl, faults[i]);
         }
+    }
+}
+
+// --- full-recompute region kernel -------------------------------------------
+//
+// The full path sweeps forward over the whole view and backward over R(F)
+// only. Its answers must be bit-identical to both full sweeps, on every
+// fault shape the read touches and for every probe shape.
+
+/// The two full sweeps over a throwaway view, then the per-fault read —
+/// the full path's answer before R(F) existed, kept as the oracle.
+std::vector<double> full_sweep_reference(const netlist& nl,
+                                         const std::vector<fault>& faults,
+                                         const weight_vector& w) {
+    const std::vector<double> p = cop_signal_probabilities(nl, w);
+    const observability_result obs = cop_observabilities(nl, p);
+    std::vector<double> out;
+    for (const fault& f : faults) {
+        const node_id site = fault_site_driver(nl, f);
+        const double act = stuck_value(f.value) ? 1.0 - p[site] : p[site];
+        const double o =
+            f.is_stem() ? obs.stem[f.where]
+                        : obs.pin_obs(f.where, static_cast<std::size_t>(f.pin));
+        out.push_back(act * o);
+    }
+    return out;
+}
+
+void expect_same_bits(const std::vector<double>& want,
+                      const std::vector<double>& got, const char* what) {
+    ASSERT_EQ(want.size(), got.size()) << what;
+    for (std::size_t j = 0; j < want.size(); ++j)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(want[j]),
+                  std::bit_cast<std::uint64_t>(got[j]))
+            << what << " fault " << j << ": " << want[j] << " vs " << got[j];
+}
+
+/// Fault sets: empty, one fault, pin faults on multi-fanout stems,
+/// primary-output stems, a sparse random sample (an F^-like subset), and
+/// the whole list.
+std::vector<std::vector<fault>> region_fault_sets(const netlist& nl, rng& r) {
+    const std::vector<fault> all = generate_full_faults(nl);
+    std::vector<std::vector<fault>> sets(6);
+    sets[1].push_back(all[r.next_below(all.size())]);
+    for (const fault& f : all) {
+        if (!f.is_stem() &&
+            nl.fanout_count(nl.fanins(f.where)[static_cast<std::size_t>(
+                f.pin)]) > 1 &&
+            sets[2].size() < 64)
+            sets[2].push_back(f);
+        if (f.is_stem() && nl.is_output(f.where) && sets[3].size() < 64)
+            sets[3].push_back(f);
+        if (r.next_below(16) == 0) sets[4].push_back(f);
+    }
+    sets[5] = all;
+    return sets;
+}
+
+/// Probes: single-input moves to both ends, a multi-input perturbation,
+/// a probe naming one input twice (the later move wins), and the empty
+/// probe.
+std::vector<probe> region_probes(const weight_vector& base, rng& r) {
+    std::vector<probe> probes;
+    const std::size_t n = base.size();
+    for (const std::size_t i : {std::size_t{0}, n / 2, n - 1}) {
+        probes.push_back({{i, 0.05}});
+        probes.push_back({{i, 0.95}});
+    }
+    weight_vector moved = base;
+    for (auto& x : moved)
+        if (r.next_below(3) == 0) x = 0.1 + 0.8 * r.next_double();
+    probes.push_back(probe_between(base, moved));
+    probes.push_back({{n / 3, 0.2}, {n - 1, 0.6}, {n / 3, 0.7}});
+    probes.push_back({});
+    return probes;
+}
+
+void expect_region_kernel_matches(const netlist& nl, std::uint64_t seed) {
+    SCOPED_TRACE(nl.name());
+    rng r(seed);
+    weight_vector base(nl.input_count());
+    for (auto& x : base) x = 0.1 + 0.8 * r.next_double();
+    const std::vector<probe> probes = region_probes(base, r);
+    for (const std::vector<fault>& faults : region_fault_sets(nl, r)) {
+        SCOPED_TRACE(faults.size());
+        cop_detect_estimator cop;
+        cop.set_engine_cone_limit(0.0);  // force the full path
+        const auto got = cop.estimate_probes(nl, faults, base, probes);
+        ASSERT_EQ(got.size(), probes.size());
+        for (std::size_t k = 0; k < probes.size(); ++k) {
+            const weight_vector w = apply_probe(base, probes[k]);
+            expect_same_bits(full_sweep_reference(nl, faults, w), got[k],
+                             "probe vs full sweeps");
+            expect_same_bits(cop.estimate(nl, faults, w), got[k],
+                             "probe vs per-probe estimate()");
+        }
+        expect_same_bits(full_sweep_reference(nl, faults, base),
+                         cop.estimate_faults(nl, faults, base, 2),
+                         "sharded read vs full sweeps");
+        EXPECT_EQ(cop.stats().engine_builds, 0u);
+        EXPECT_EQ(cop.stats().full_estimates, 2 * probes.size() + 1);
+    }
+}
+
+TEST(cop_region, bit_identical_to_full_sweeps_on_suite_circuits) {
+    expect_region_kernel_matches(build_suite_circuit("S2"), 0x52);
+    expect_region_kernel_matches(build_suite_circuit("c7552"), 0x7552);
+}
+
+TEST(cop_region, bit_identical_to_full_sweeps_on_random_circuits) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        random_circuit_spec spec;
+        spec.inputs = 6 + 3 * seed;
+        spec.gates = 40 + 60 * seed;
+        spec.seed = 0x7e57 + seed;
+        expect_region_kernel_matches(make_random_circuit(spec), seed);
     }
 }
 

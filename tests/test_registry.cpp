@@ -282,14 +282,18 @@ TEST(registry, evicted_views_rebuild_and_revalidate_cached_results) {
     EXPECT_EQ(c.view_rebuilds, 2u);
     EXPECT_EQ(c.view_evictions, 1u);
 
-    // a's view rebuilds from the session's netlist, whose revision stamp
-    // survived the eviction — so the result cached before it is STILL
-    // VALID and must hit.
+    // A miss on a rebuilds its view from the session's netlist, whose
+    // revision stamp survived the eviction — so the result cached before
+    // it is STILL VALID and must hit.
+    ASSERT_TRUE(s.handle(make_named_sim("t/a")).ok);  // evicts b's view
+    c = s.catalog().stats();
+    EXPECT_EQ(c.resident, 1u);
+    EXPECT_EQ(c.view_rebuilds, 3u);
+    EXPECT_EQ(c.view_evictions, 2u);
     const response again = s.handle(make_named_length("t/a"));
     ASSERT_TRUE(again.ok);
     EXPECT_TRUE(std::get<test_length_response>(again.payload).cached);
     c = s.catalog().stats();
-    EXPECT_EQ(c.resident, 1u);
     EXPECT_EQ(c.view_rebuilds, 3u);
     EXPECT_EQ(c.view_evictions, 2u);
 }
@@ -466,13 +470,36 @@ TEST(registry, handle_job_after_view_eviction_hits_the_cache) {
     ASSERT_TRUE(s.handle(make_named_length("t/c432")).ok);  // evicts s1
     ASSERT_FALSE(s.catalog().resolve("t/s1").resident);
 
+    // The cache answers before any view is compiled: no rebuild, no
+    // eviction of c432's view.
     const response r = s.handle(make_handle_length(s1));
     ASSERT_TRUE(r.ok) << encode(r);
     EXPECT_TRUE(std::get<test_length_response>(r.payload).cached);
     const registry::counters c = s.catalog().stats();
-    EXPECT_EQ(c.view_rebuilds, 3u);
-    EXPECT_EQ(c.view_evictions, 2u);
+    EXPECT_EQ(c.view_rebuilds, 2u);
+    EXPECT_EQ(c.view_evictions, 1u);
     EXPECT_EQ(c.resident, 1u);
+    EXPECT_FALSE(s.catalog().resolve("t/s1").resident);
+    EXPECT_TRUE(s.catalog().resolve("t/c432").resident);
+}
+
+TEST(registry, named_job_after_view_eviction_hits_the_cache) {
+    service s(one_view());
+    s.handle(make_register_suite("t", "s1", "S1"));
+    s.handle(make_register_suite("t", "c432", "c432"));
+
+    ASSERT_TRUE(s.handle(make_named_length("t/s1")).ok);
+    ASSERT_TRUE(s.handle(make_named_length("t/c432")).ok);  // evicts s1
+    ASSERT_FALSE(s.catalog().resolve("t/s1").resident);
+
+    const response r = s.handle(make_named_length("t/s1"));
+    ASSERT_TRUE(r.ok) << encode(r);
+    EXPECT_TRUE(std::get<test_length_response>(r.payload).cached);
+    const registry::counters c = s.catalog().stats();
+    EXPECT_EQ(c.view_rebuilds, 2u);
+    EXPECT_EQ(c.view_evictions, 1u);
+    EXPECT_EQ(c.resident, 1u);
+    EXPECT_FALSE(s.catalog().resolve("t/s1").resident);
 }
 
 // --- per-tenant quotas ------------------------------------------------------

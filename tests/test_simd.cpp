@@ -14,6 +14,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include "core/circuit_view.h"
-#include "exec/parallel_sort.h"
 #include "exec/thread_pool.h"
 #include "fault/fault.h"
 #include "gen/random_circuit.h"
@@ -429,49 +429,72 @@ TEST(SimdFaultSim, BlockedAndParallelBitIdentical) {
     expect_fault_sim_paths_agree("S2", 832, true);
 }
 
-// --- deterministic parallel sort ---------------------------------------------
+// --- radix SORT ----------------------------------------------------------------
 
-TEST(SimdSort, MatchesStableSortWithDuplicates) {
-    rng r(0x50f7);
-    std::vector<double> keys(40000);
-    for (auto& k : keys) k = static_cast<double>(r.next_below(97));
+namespace {
 
-    std::vector<std::size_t> want(keys.size());
-    for (std::size_t i = 0; i < want.size(); ++i) want[i] = i;
+// SORT's reference: a stable sort of the positive entries by value.
+std::vector<std::size_t> stable_sorted_positive(const std::vector<double>& p) {
+    std::vector<std::size_t> want;
+    for (std::size_t i = 0; i < p.size(); ++i)
+        if (p[i] > 0.0) want.push_back(i);
     std::stable_sort(want.begin(), want.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return keys[a] < keys[b];
-                     });
-
-    for (unsigned threads : {1u, 2u, 8u}) {
-        std::vector<std::size_t> got(keys.size());
-        for (std::size_t i = 0; i < got.size(); ++i) got[i] = i;
-        parallel_stable_sort_indices(
-            got,
-            [&](std::size_t a, std::size_t b) { return keys[a] < keys[b]; },
-            threads > 1 ? &shared_thread_pool() : nullptr, threads,
-            /*shard=*/512);
-        EXPECT_EQ(want, got) << threads;
-    }
+                     [&](std::size_t a, std::size_t b) { return p[a] < p[b]; });
+    return want;
 }
 
-// sort_faults' pooled overload: identical order for every thread count,
-// with duplicate probabilities and excluded p <= 0 entries in the mix.
-TEST(SimdSort, SortFaultsIdenticalAcrossThreads) {
+}  // namespace
+
+// The radix pass reproduces std::stable_sort exactly: a tie-heavy list
+// (211 distinct values over 50k faults) with excluded p <= 0 entries.
+TEST(SimdSort, RadixSortFaultsMatchesStableSort) {
     rng r(0xdead);
     std::vector<double> probs(50000);
     for (auto& p : probs) {
         const double d = r.next_double();
         p = d < 0.03 ? 0.0 : static_cast<double>(r.next_below(211)) / 211.0;
     }
+    EXPECT_EQ(stable_sorted_positive(probs), sort_faults(probs));
+}
 
-    const std::vector<std::size_t> want = sort_faults(probs);
-    for (unsigned threads : {1u, 2u, 8u}) {
-        normalize_exec ex;
-        ex.pool = &shared_thread_pool();
-        ex.threads = threads;
-        EXPECT_EQ(want, sort_faults(probs, ex)) << threads;
+// Extreme magnitudes: denormals, 1e-300, values straddling every radix
+// digit, negative entries and ties among all of them, from a handful of
+// keys up.
+TEST(SimdSort, RadixSortFaultsExtremeValues) {
+    rng r(0x50f7);
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    const std::vector<double> pool = {
+        denorm,          2 * denorm,   1e-310,  1e-300, 1e-300 * (1 + 1e-15),
+        1e-200,          1e-30,        1e-9,    0.5,    0.5 + 1e-16,
+        1.0,             -1e-300,      0.0,     -0.0,   0.25};
+    for (const std::size_t n : {std::size_t{7}, std::size_t{255},
+                                std::size_t{256}, std::size_t{20000}}) {
+        std::vector<double> probs(n);
+        for (auto& p : probs) {
+            const double d = r.next_double();
+            p = d < 0.5 ? pool[r.next_below(pool.size())]
+                        : r.next_double() * std::pow(10.0, -300 * d);
+        }
+        EXPECT_EQ(stable_sorted_positive(probs), sort_faults(probs)) << n;
     }
+    // Keys equal but for one 11-bit window each (mantissa or exponent):
+    // every digit pass decides part of the order.
+    std::vector<double> windows(6000);
+    for (auto& p : windows) {
+        const unsigned lo = static_cast<unsigned>(r.next_below(6)) * 11;
+        const std::uint64_t window = std::uint64_t{0x7ff} << lo;
+        std::uint64_t bits = 0x3fd5555555555555ULL;  // ~1/3
+        bits = (bits & ~window) | (r.next_word() & window);
+        bits &= ~(std::uint64_t{1} << 63);             // positive
+        if ((bits >> 52) == 0x7ff) bits &= ~(std::uint64_t{1} << 62);  // finite
+        p = std::bit_cast<double>(bits);
+    }
+    EXPECT_EQ(stable_sorted_positive(windows), sort_faults(windows));
+    EXPECT_TRUE(sort_faults(std::vector<double>{}).empty());
+    EXPECT_TRUE(sort_faults(std::vector<double>(300, 0.0)).empty());
+    // Every key equal: every digit pass is skipped.
+    const std::vector<double> same(1000, 1e-300);
+    EXPECT_EQ(stable_sorted_positive(same), sort_faults(same));
 }
 
 // --- svc stats surface -------------------------------------------------------
