@@ -25,7 +25,6 @@ int main() {
 
     fault_sim_options fo;
     fo.max_patterns = 12288;
-    fo.drop_detected = true;
     const auto conventional = run_weighted_fault_simulation(
         nl, faults, uniform_weights(nl), 0xf162, fo);
     const auto optimized =

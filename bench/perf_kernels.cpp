@@ -31,9 +31,11 @@ namespace {
 
 using namespace wrpt;
 
+netlist build_sweep_circuit(const std::string& name);
+
 void bm_fault_sim(benchmark::State& state, const std::string& name,
                   std::uint64_t patterns, unsigned threads = 0) {
-    const netlist nl = build_suite_circuit(name);
+    const netlist nl = build_sweep_circuit(name);
     const auto faults = generate_full_faults(nl);
     for (auto _ : state) {
         fault_sim_options fo;
@@ -340,45 +342,6 @@ void bm_normalize_exp_simd(benchmark::State& state, std::size_t terms) {
     state.counters["speedup_vs_scalar"] = t_vec > 0.0 ? t_scalar / t_vec : 0.0;
 }
 
-/// Blocked PPSFP at `block_words` words per pass vs the one-word
-/// reference path — the traversal-amortization win.
-void bm_fault_sim_blocked(benchmark::State& state, const std::string& name,
-                          std::uint64_t patterns, unsigned block_words) {
-    const netlist nl = build_sweep_circuit(name);
-    const auto faults = generate_full_faults(nl);
-    fault_sim_options fo;
-    fo.max_patterns = patterns;
-    fo.threads = 1;
-    fo.block_words = block_words;
-    for (auto _ : state) {
-        auto res = run_weighted_fault_simulation(nl, faults,
-                                                 uniform_weights(nl), 7, fo);
-        benchmark::DoNotOptimize(res.detected_count);
-    }
-    const int reps = 2;
-    fault_sim_options ref = fo;
-    ref.block_words = 1;
-    const double t_one = seconds_for(
-        [&] {
-            run_weighted_fault_simulation(nl, faults, uniform_weights(nl), 7,
-                                          ref);
-        },
-        reps);
-    const double t_blocked = seconds_for(
-        [&] {
-            run_weighted_fault_simulation(nl, faults, uniform_weights(nl), 7,
-                                          fo);
-        },
-        reps);
-    state.counters["block_words"] = static_cast<double>(block_words);
-    state.counters["faults"] = static_cast<double>(faults.size());
-    state.counters["patterns/s"] = benchmark::Counter(
-        static_cast<double>(patterns) * static_cast<double>(state.iterations()),
-        benchmark::Counter::kIsRate);
-    state.counters["speedup_vs_1word"] =
-        t_blocked > 0.0 ? t_one / t_blocked : 0.0;
-}
-
 /// Fault SORT (the radix pass) at S2's fault-list size and at 1M faults;
 /// ~3% undetectable (p == 0) entries exercise the exclusion scan.
 void bm_sort_faults(benchmark::State& state, std::size_t faults) {
@@ -439,8 +402,11 @@ BENCHMARK_CAPTURE(bm_fault_sim, c6288_1k, std::string("c6288"), 1024)
 BENCHMARK_CAPTURE(bm_fault_sim, c7552_1k, std::string("c7552"), 1024)
     ->Unit(benchmark::kMillisecond);
 // The Table 2/4 pattern count on S2 at the serve daemon's compute
-// settings (one thread, the default 4-word blocks).
+// settings (one thread).
 BENCHMARK_CAPTURE(bm_fault_sim, S2_12k, std::string("S2"), 12000, 1)
+    ->Unit(benchmark::kMillisecond);
+// The largest gen/ circuit (6,271 nodes), one thread.
+BENCHMARK_CAPTURE(bm_fault_sim, sharded_1k, std::string("sharded"), 1024, 1)
     ->Unit(benchmark::kMillisecond);
 
 // The sharded-ANALYSIS speedup curve for BENCH JSON: the full fault-list
@@ -478,20 +444,14 @@ BENCHMARK_CAPTURE(bm_serve_socket, S1_c8_uncached, std::string("S1"), 8,
 
 // The vectorized-kernel rows for BENCH_kernels.json: vector vs scalar
 // on the largest gen/ circuit (sharded) plus a deep ISCAS shape, the
-// NORMALIZE exp kernel at optimizer-scale term counts, blocked PPSFP at
-// 4 and 8 words, and the radix SORT at 21k and 1M faults.
+// NORMALIZE exp kernel at optimizer-scale term counts, and the radix SORT
+// at 21k and 1M faults.
 BENCHMARK_CAPTURE(bm_cop_sweep_simd, sharded, std::string("sharded"))
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_cop_sweep_simd, c7552, std::string("c7552"))
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_normalize_exp_simd, t64k, std::size_t{1} << 16)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(bm_fault_sim_blocked, sharded_1k_b4, std::string("sharded"),
-                  1024, 4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(bm_fault_sim_blocked, sharded_1k_b8, std::string("sharded"),
-                  1024, 8)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_sort_faults, f21k, std::size_t{21000})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(bm_sort_faults, f1m, std::size_t{1} << 20)

@@ -1,5 +1,6 @@
 // Parallel-pattern single-fault-propagation (PPSFP) fault simulation with
-// fault dropping — regenerates the paper's Tables 2/4 and Fig. 2.
+// fault dropping over fanout-free regions (block_simulator::detect_group)
+// — regenerates the paper's Tables 2/4 and Fig. 2.
 
 #pragma once
 
@@ -17,29 +18,17 @@ class circuit_view;
 
 struct fault_sim_options {
     std::uint64_t max_patterns = 4096;
-    bool drop_detected = true;  ///< stop simulating a fault once detected
-    /// Worker threads for block-parallel PPSFP: 0 = one per hardware
-    /// thread, 1 = sequential. Workers share one compiled circuit_view and
-    /// pull 64-pattern blocks off an atomic work queue; per-fault first
-    /// detections combine by atomic minimum, so the result is identical to
-    /// the sequential run for the same pattern source. The parallel path
-    /// draws blocks from `source` lazily in pull order and may draw up to
-    /// `threads` blocks more than the sequential path before the
-    /// all-detected early exit stops the workers.
+    /// Worker threads: 0 = one per shared_thread_pool() worker, 1 = run
+    /// on the calling thread without touching the pool. Workers pull
+    /// superblocks of 256 patterns off one shared counter, so the
+    /// effective count is capped by the number of superblocks in the
+    /// budget and by the pool size plus the calling thread. Per-fault
+    /// first detections combine by atomic minimum, so the result is
+    /// identical for every thread count. Blocks are drawn from `source`
+    /// lazily in pull order; a run may draw up to one superblock per
+    /// worker beyond the patterns it applies before the all-detected
+    /// early exit stops it.
     unsigned threads = 0;
-    /// Machine words per PPSFP pass (clamped to [1, 8]): each pass
-    /// simulates 64 * block_words patterns. block_words >= 2 selects the
-    /// fanout-free-region kernel (block_simulator::detect_group): live
-    /// faults are grouped by their region's stem, each fault's effect is
-    /// traced to the stem with bit operations, and one event-driven
-    /// wavefront per group and pass replaces one per fault. It is exact
-    /// per bit, so first detections are bit-identical to block_words = 1
-    /// (the per-fault scalar reference path), and the word-sequential
-    /// early-exit accounting is replayed exactly — patterns_applied
-    /// matches the one-word run. Like the parallel path, a blocked run
-    /// may draw up to block_words - 1 blocks more from `source` than the
-    /// one-word run before stopping.
-    unsigned block_words = 4;
 };
 
 struct fault_sim_result {

@@ -91,8 +91,8 @@ private:
 /// machine is the good machine with s flipped on L_f, a subset of U, and
 /// bitwise ops never mix bits or words. So word w of every mask is
 /// bit-identical to simulator::detect_mask() run on block w alone. The
-/// blocked fault simulation paths rest on that equivalence;
-/// tests/test_simd.cpp asserts it for every fault and every word.
+/// fault simulator rests on that equivalence; tests/test_simd.cpp
+/// asserts it for every fault and every word.
 ///
 /// Scratch is O(nodes * B); the caller's group masks add O(group * B).
 class block_simulator {

@@ -1,7 +1,10 @@
-// Shared test helpers: random-vector equivalence checking between netlists.
+// Shared test helpers: random-vector equivalence checking between
+// netlists, and the one-word per-fault fault-simulation reference.
 
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -9,8 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/circuit_view.h"
+#include "fault/fault.h"
 #include "netlist/netlist.h"
+#include "sim/fault_sim.h"
 #include "sim/logic_sim.h"
+#include "sim/patterns.h"
 #include "util/rng.h"
 #include "util/label.h"
 
@@ -96,6 +103,65 @@ inline bool get_bit(const netlist& nl, const std::vector<bool>& outs,
         if (nl.output_name(nl.outputs()[o]) == name) return outs[o];
     ADD_FAILURE() << "no output named " << name;
     return false;
+}
+
+/// Sequential PPSFP with fault dropping: one simulator, blocks in order,
+/// the live list shrinks as faults are detected. One
+/// simulator::detect_mask call per live fault and 64-pattern block — the
+/// per-fault reference that run_fault_simulation's fanout-free-region
+/// kernel must match bit for bit (options.threads is ignored).
+inline fault_sim_result reference_fault_simulation(
+    const circuit_view& cv, const std::vector<fault>& faults,
+    pattern_source& source, const fault_sim_options& options) {
+    simulator sim(cv);
+    fault_sim_result res;
+    res.first_detected.assign(faults.size(), std::nullopt);
+
+    // Live list holds indices of still-undetected faults (fault dropping).
+    std::vector<std::size_t> live(faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i) live[i] = i;
+
+    std::vector<std::uint64_t> words;
+    std::uint64_t applied = 0;
+    while (applied < options.max_patterns && !live.empty()) {
+        source.next_block(words);
+        sim.simulate(words);
+        const std::uint64_t block_size =
+            std::min<std::uint64_t>(64, options.max_patterns - applied);
+        const std::uint64_t valid_mask =
+            block_size == 64 ? ~0ULL : ((1ULL << block_size) - 1);
+
+        std::size_t keep = 0;
+        for (std::size_t idx = 0; idx < live.size(); ++idx) {
+            const std::size_t fi = live[idx];
+            const std::uint64_t mask = sim.detect_mask(faults[fi]) & valid_mask;
+            if (mask == 0) {
+                live[keep++] = fi;
+                continue;
+            }
+            if (!res.first_detected[fi].has_value()) {
+                const int bit = std::countr_zero(mask);
+                res.first_detected[fi] =
+                    applied + static_cast<std::uint64_t>(bit);
+                ++res.detected_count;
+            }
+        }
+        live.resize(keep);
+        applied += block_size;
+    }
+    res.patterns_applied = applied;
+    return res;
+}
+
+/// reference_fault_simulation over weighted random patterns, the
+/// counterpart of run_weighted_fault_simulation.
+inline fault_sim_result reference_weighted_fault_simulation(
+    const netlist& nl, const std::vector<fault>& faults,
+    const weight_vector& weights, std::uint64_t seed,
+    const fault_sim_options& options) {
+    const circuit_view cv = circuit_view::compile(nl);
+    weighted_random_source source(weights, seed);
+    return reference_fault_simulation(cv, faults, source, options);
 }
 
 }  // namespace wrpt::testing

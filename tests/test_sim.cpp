@@ -13,6 +13,7 @@
 #include "fault/fault.h"
 #include "gen/comparator.h"
 #include "gen/random_circuit.h"
+#include "gen/suite.h"
 #include "sim/fault_sim.h"
 #include "sim/patterns.h"
 #include "util/error.h"
@@ -147,29 +148,16 @@ TEST(fault_sim, detects_and_drops) {
     }
 }
 
-TEST(fault_sim, first_detection_consistent_with_no_dropping) {
-    const netlist nl = make_cascaded_comparator(1);
-    const auto faults = generate_full_faults(nl);
-    fault_sim_options drop, keep;
-    drop.max_patterns = keep.max_patterns = 256;
-    keep.drop_detected = false;
-    const auto a = run_weighted_fault_simulation(nl, faults,
-                                                 uniform_weights(nl), 7, drop);
-    const auto b = run_weighted_fault_simulation(nl, faults,
-                                                 uniform_weights(nl), 7, keep);
-    ASSERT_EQ(a.first_detected.size(), b.first_detected.size());
-    for (std::size_t i = 0; i < a.first_detected.size(); ++i)
-        EXPECT_EQ(a.first_detected[i], b.first_detected[i]);
-}
-
 TEST(fault_sim, respects_non_multiple_of_64_budget) {
-    const netlist nl = make_cascaded_comparator(1);
+    // S1 is random-pattern resistant: 100 patterns leave faults live, so
+    // the budget, not the all-detected early exit, ends the run.
+    const netlist nl = build_suite_circuit("S1");
     const auto faults = generate_full_faults(nl);
     fault_sim_options opt;
     opt.max_patterns = 100;
-    opt.drop_detected = false;  // keep simulating: the budget must bind
     const auto res = run_weighted_fault_simulation(
         nl, faults, uniform_weights(nl), 3, opt);
+    ASSERT_LT(res.detected_count, faults.size());
     EXPECT_EQ(res.patterns_applied, 100u);
     for (const auto& fd : res.first_detected) {
         if (fd.has_value()) {
@@ -179,31 +167,91 @@ TEST(fault_sim, respects_non_multiple_of_64_budget) {
 }
 
 // A budget of UINT64_MAX patterns is legal (ceil(n / 64) must not wrap
-// to 0 words): on a fully random-testable circuit every path stops once
-// the live list drains, with the one-word reference's result.
+// to 0 words): on a fully random-testable circuit the run stops once
+// every fault is detected, with the one-word reference's result.
 TEST(fault_sim, uint64_max_budget_stops_when_every_fault_is_detected) {
     const netlist nl = make_cascaded_comparator(1);
     const auto faults = generate_full_faults(nl);
     fault_sim_options ref;
     ref.max_patterns = std::numeric_limits<std::uint64_t>::max();
-    ref.threads = 1;
-    ref.block_words = 1;
-    const auto want = run_weighted_fault_simulation(
+    const auto want = testing::reference_weighted_fault_simulation(
         nl, faults, uniform_weights(nl), 0x5eed, ref);
     ASSERT_EQ(want.detected_count, faults.size());
     EXPECT_LE(want.patterns_applied, 1024u);
-    for (const unsigned block : {1u, 4u, 8u}) {
-        for (const unsigned threads : {1u, 2u}) {
-            fault_sim_options o = ref;
-            o.block_words = block;
-            o.threads = threads;
-            const auto got = run_weighted_fault_simulation(
-                nl, faults, uniform_weights(nl), 0x5eed, o);
-            SCOPED_TRACE(::testing::Message() << "B" << block << " t"
-                                              << threads);
-            EXPECT_EQ(want.patterns_applied, got.patterns_applied);
-            EXPECT_EQ(want.detected_count, got.detected_count);
-            EXPECT_EQ(want.first_detected, got.first_detected);
+    for (const unsigned threads : {1u, 2u}) {
+        fault_sim_options o = ref;
+        o.threads = threads;
+        const auto got = run_weighted_fault_simulation(
+            nl, faults, uniform_weights(nl), 0x5eed, o);
+        SCOPED_TRACE(::testing::Message() << "t" << threads);
+        EXPECT_EQ(want.patterns_applied, got.patterns_applied);
+        EXPECT_EQ(want.detected_count, got.detected_count);
+        EXPECT_EQ(want.first_detected, got.first_detected);
+    }
+}
+
+TEST(fault_sim, empty_fault_list_applies_no_patterns) {
+    const netlist nl = make_cascaded_comparator(1);
+    for (const unsigned threads : {1u, 4u}) {
+        fault_sim_options opt;
+        opt.max_patterns = 4096;
+        opt.threads = threads;
+        const auto res = run_weighted_fault_simulation(
+            nl, {}, uniform_weights(nl), 1, opt);
+        SCOPED_TRACE(::testing::Message() << "t" << threads);
+        EXPECT_EQ(res.patterns_applied, 0u);
+        EXPECT_EQ(res.detected_count, 0u);
+        EXPECT_TRUE(res.first_detected.empty());
+    }
+}
+
+/// Uniform random blocks; from block `fail_at` on, it either returns
+/// one word too many or throws source_failure.
+class failing_source final : public pattern_source {
+public:
+    struct source_failure {};
+
+    failing_source(std::size_t inputs, std::size_t fail_at, bool throws)
+        : inputs_(inputs), fail_at_(fail_at), throws_(throws) {}
+
+    void next_block(std::vector<std::uint64_t>& words) override {
+        if (drawn_++ < fail_at_) {
+            words.resize(inputs_);
+            for (auto& w : words) w = rng_.next_word();
+        } else if (throws_) {
+            throw source_failure{};
+        } else {
+            words.assign(inputs_ + 1, 0);
+        }
+    }
+
+private:
+    std::size_t inputs_;
+    std::size_t fail_at_;
+    bool throws_;
+    std::size_t drawn_ = 0;
+    rng rng_{0xbad};
+};
+
+// A source error on any worker reaches the caller: a wrong word count
+// as invalid_input, the source's own exception as itself, and the call
+// returns instead of leaving workers waiting. S1 keeps faults live
+// through the budget, so every block is drawn.
+TEST(fault_sim, pattern_source_errors_reach_the_caller) {
+    const netlist nl = build_suite_circuit("S1");
+    const auto faults = generate_full_faults(nl);
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "t" << threads);
+        fault_sim_options opt;
+        opt.max_patterns = 8192;
+        opt.threads = threads;
+        for (const std::size_t k : {0u, 5u}) {
+            failing_source wrong(nl.input_count(), k, false);
+            EXPECT_THROW(run_fault_simulation(nl, faults, wrong, opt),
+                         invalid_input);
+            failing_source throwing(nl.input_count(), k, true);
+            EXPECT_THROW(run_fault_simulation(nl, faults, throwing, opt),
+                         failing_source::source_failure);
         }
     }
 }

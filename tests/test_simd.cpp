@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "helpers.h"
+
 #include "core/circuit_view.h"
 #include "exec/thread_pool.h"
 #include "fault/fault.h"
@@ -222,8 +224,8 @@ std::vector<fault> every_line_fault(const netlist& nl) {
 /// block_simulator word w == simulator on block w: the good value of
 /// every node, and for every fault and every word the detection mask of
 /// detect_group over the fault alone, over the fault's whole stem group,
-/// and over every other member of that group (the blocked fault
-/// simulator hands over the live subset of a group).
+/// and over every other member of that group (the fault simulator
+/// hands over the live subset of a group).
 void expect_block_words_match(const netlist& nl,
                               const std::vector<fault>& faults,
                               std::uint64_t seed, unsigned words) {
@@ -380,53 +382,41 @@ TEST(SimdBlockSim, FfrKernelMatchesOnCornerCases) {
 }
 
 // The full fault-simulation result — first_detected per fault AND
-// patterns_applied — is invariant across block widths and thread counts,
-// including budgets that are not multiples of the block size.
-void expect_fault_sim_paths_agree(const char* name, std::uint64_t budget,
-                                  bool drop) {
+// patterns_applied — equals the one-word per-fault reference at every
+// thread count, including budgets that are not multiples of the
+// 256-pattern superblock.
+void expect_fault_sim_paths_agree(const char* name, std::uint64_t budget) {
     const netlist nl = build_suite_circuit(name);
     const std::vector<fault> faults = generate_full_faults(nl);
     const weight_vector w = uniform_weights(nl);
 
     fault_sim_options ref;
     ref.max_patterns = budget;
-    ref.threads = 1;
-    ref.block_words = 1;
-    ref.drop_detected = drop;
     const fault_sim_result want =
-        run_weighted_fault_simulation(nl, faults, w, 0xfeed, ref);
+        testing::reference_weighted_fault_simulation(nl, faults, w, 0xfeed,
+                                                     ref);
 
-    for (unsigned block : {1u, 4u, 8u}) {
-        for (unsigned threads : {1u, 2u, 8u}) {
-            fault_sim_options o = ref;
-            o.block_words = block;
-            o.threads = threads;
-            const fault_sim_result got =
-                run_weighted_fault_simulation(nl, faults, w, 0xfeed, o);
-            SCOPED_TRACE(std::string(name) + " budget " +
-                         std::to_string(budget) + " drop " +
-                         std::to_string(drop) + " B" + std::to_string(block) +
-                         " t" + std::to_string(threads));
-            EXPECT_EQ(want.patterns_applied, got.patterns_applied);
-            EXPECT_EQ(want.detected_count, got.detected_count);
-            ASSERT_EQ(want.first_detected.size(), got.first_detected.size());
-            for (std::size_t i = 0; i < want.first_detected.size(); ++i)
-                ASSERT_EQ(want.first_detected[i], got.first_detected[i])
-                    << "fault " << i;
-        }
+    for (unsigned threads : {1u, 2u, 8u}) {
+        fault_sim_options o = ref;
+        o.threads = threads;
+        const fault_sim_result got =
+            run_weighted_fault_simulation(nl, faults, w, 0xfeed, o);
+        SCOPED_TRACE(std::string(name) + " budget " + std::to_string(budget) +
+                     " t" + std::to_string(threads));
+        EXPECT_EQ(want.patterns_applied, got.patterns_applied);
+        EXPECT_EQ(want.detected_count, got.detected_count);
+        ASSERT_EQ(want.first_detected.size(), got.first_detected.size());
+        for (std::size_t i = 0; i < want.first_detected.size(); ++i)
+            ASSERT_EQ(want.first_detected[i], got.first_detected[i])
+                << "fault " << i;
     }
 }
 
 TEST(SimdFaultSim, BlockedAndParallelBitIdentical) {
-    for (const bool drop : {true, false})
-        for (const char* name : {"S1", "c432"})
-            for (std::uint64_t budget : {320u, 832u})
-                expect_fault_sim_paths_agree(name, budget, drop);
-    // S2 with dropping only: without it, the per-fault one-word runs
-    // keep all 21k faults live through S2's deep divider array on every
-    // block, about 30 CPU-seconds per call, and the TSan leg runs this
-    // suite too.
-    expect_fault_sim_paths_agree("S2", 832, true);
+    for (const char* name : {"S1", "c432"})
+        for (std::uint64_t budget : {320u, 832u})
+            expect_fault_sim_paths_agree(name, budget);
+    expect_fault_sim_paths_agree("S2", 832);
 }
 
 // --- radix SORT ----------------------------------------------------------------
